@@ -175,6 +175,7 @@ func FromGraph(g *graph.Graph, world *iyp.World, opts Options) (*System, error) 
 	coreCfg := core.Config{
 		Graph:                 g,
 		Model:                 model,
+		Lexicon:               lexicon,
 		DisableVectorFallback: opts.DisableVectorFallback,
 		DisableReranker:       opts.DisableReranker,
 		PlanCacheSize:         opts.PlanCacheSize,

@@ -98,8 +98,7 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	stats := sys.Graph().CollectStats()
-	logger.Printf("IYP graph ready: %d nodes, %d relationships", stats.Nodes, stats.Relationships)
+	logger.Printf("IYP graph ready: %d nodes, %d relationships", sys.Graph().NodeCount(), sys.Graph().RelationshipCount())
 
 	var pipe *core.Pipeline = sys.Pipeline()
 	srv, err := server.New(server.Config{

@@ -1,0 +1,90 @@
+package core
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"chatiyp/internal/embed"
+	"chatiyp/internal/graph"
+	"chatiyp/internal/iyp"
+	"chatiyp/internal/vector"
+)
+
+// buildChunk is how many consecutive describable nodes a worker claims
+// at a time: small enough that the long AS descriptions at the low IDs
+// spread over all workers, large enough that claiming costs nothing.
+const buildChunk = 256
+
+// buildRetrieval renders, fits and embeds the node descriptions of g —
+// what iyp.Describe, Embedder.Fit and one Embed per description compute
+// — once, on GOMAXPROCS goroutines, as a two-phase fork-join over
+// ID-ordered chunks of the describable nodes.
+//
+// Phase 1: each worker renders the descriptions of the chunks it claims
+// and extracts their hashed features into its own embed.Corpus. The
+// barrier sums the per-worker document frequencies into the IDF table.
+// Phase 2: each worker weights and accumulates the vectors of its own
+// documents into their rows of one slab.
+//
+// The result does not depend on the worker count or on which worker
+// claimed which chunk: docs[i] and row i belong to the i-th describable
+// node, document frequencies are integer sums, and every vector is
+// accumulated by one goroutine in Embed's feature order. It is
+// bit-identical to the serial functions, which stay exported as the
+// reference TestParallelBuildEqualsSerial compares against.
+func buildRetrieval(g *graph.Graph) (*embed.Embedder, []vector.Doc, []float32) {
+	view := g.View()
+	nodes := iyp.DescribableNodes(view)
+	emb := embed.NewDefault()
+	dim := emb.Dim()
+	docs := make([]vector.Doc, len(nodes))
+	slab := make([]float32, len(nodes)*dim)
+
+	workers := min(runtime.GOMAXPROCS(0), (len(nodes)+buildChunk-1)/buildChunk)
+	workers = max(workers, 1)
+	corpora := make([]*embed.Corpus, workers)
+	owned := make([][]int, workers) // owned[w][j]: the node of corpora[w]'s document j
+	var next atomic.Int64
+	forkJoin(workers, func(w int) {
+		corpus := emb.NewCorpus()
+		for {
+			lo := int(next.Add(buildChunk)) - buildChunk
+			if lo >= len(nodes) {
+				break
+			}
+			for i := lo; i < min(lo+buildChunk, len(nodes)); i++ {
+				d := iyp.DescribeNode(view, nodes[i])
+				docs[i] = vector.Doc{ID: d.NodeID, Text: d.Text, Kind: d.Label}
+				corpus.Add(d.Text)
+				owned[w] = append(owned[w], i)
+			}
+		}
+		corpora[w] = corpus
+	})
+	emb.FitCorpora(corpora)
+	forkJoin(workers, func(w int) {
+		for j, i := range owned[w] {
+			corpora[w].EmbedInto(j, slab[i*dim:(i+1)*dim])
+		}
+	})
+	return emb, docs, slab
+}
+
+// forkJoin runs fn(0) … fn(n-1) concurrently and waits for all of them;
+// a single call runs inline.
+func forkJoin(n int, fn func(w int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	wg.Wait()
+}

@@ -39,6 +39,10 @@ type Config struct {
 	Graph *graph.Graph
 	// Model is the LLM backbone. Required.
 	Model llm.Model
+	// Lexicon is the entity vocabulary of Graph when the caller has
+	// already derived it (the simulated model needs one before New can
+	// run); nil means BuildLexicon(Graph).
+	Lexicon *llm.Lexicon
 	// Schema is the schema card included in translation prompts;
 	// empty means iyp.SchemaText().
 	Schema string
@@ -136,9 +140,11 @@ type Pipeline struct {
 	resilient *resilience.ResilientModel // nil until resilience is enabled
 }
 
-// New builds a Pipeline: it derives the entity lexicon from the graph,
-// renders node descriptions, fits the embedder on them, and fills the
-// vector index.
+// New builds a Pipeline: it derives the entity lexicon from the graph
+// (unless the caller passes one), renders the node descriptions, fits
+// the embedder on them and fills the vector index (see buildRetrieval).
+// It reads the graph through Views only, so a cold columnar load stays
+// cold.
 func New(cfg Config) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Graph == nil {
@@ -158,26 +164,31 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.PlanCacheSize >= 0 {
 		p.plans = cypher.NewPlanCache(cfg.PlanCacheSize)
 	}
-	p.lexicon = BuildLexicon(cfg.Graph)
-	descs := iyp.Describe(cfg.Graph)
-	corpus := make([]string, len(descs))
-	for i, d := range descs {
-		corpus[i] = d.Text
+	p.lexicon = cfg.Lexicon
+	if p.lexicon == nil {
+		p.lexicon = BuildLexicon(cfg.Graph)
 	}
-	p.embedder = embed.NewDefault()
-	p.embedder.Fit(corpus)
+	emb, docs, slab := buildRetrieval(cfg.Graph)
+	p.embedder = emb
+	dim := emb.Dim()
 	if cfg.ANNRetrieval {
-		p.index = vector.NewHNSW(vector.HNSWConfig{Dim: p.embedder.Dim()})
+		// The HNSW graph is built by insertion, one document at a time.
+		p.index = vector.NewHNSW(vector.HNSWConfig{Dim: dim})
+		for i, d := range docs {
+			d.Vec = slab[i*dim : (i+1)*dim : (i+1)*dim]
+			if err := p.index.Add(d); err != nil {
+				return nil, fmt.Errorf("core: indexing descriptions: %w", err)
+			}
+		}
 	} else {
-		p.index = vector.NewIndex(p.embedder.Dim())
-	}
-	for _, d := range descs {
-		if err := p.index.Add(vector.Doc{ID: d.NodeID, Text: d.Text, Kind: d.Label, Vec: p.embedder.Embed(d.Text)}); err != nil {
+		ix, err := vector.NewIndexFromSlab(dim, docs, slab)
+		if err != nil {
 			return nil, fmt.Errorf("core: indexing descriptions: %w", err)
 		}
+		p.index = ix
 	}
 	if cfg.SemCacheThreshold > 0 && cfg.SemCacheSize >= 0 {
-		p.semcache = newSemCache(cfg.SemCacheThreshold, cfg.SemCacheSize, p.embedder.Dim())
+		p.semcache = newSemCache(cfg.SemCacheThreshold, cfg.SemCacheSize, dim)
 	}
 	return p, nil
 }
@@ -906,6 +917,11 @@ func (p *Pipeline) Metrics() *metrics.Registry {
 	p.metrics.Counter("persist.checkpoints").Set(ps.Checkpoints)
 	p.metrics.Counter("persist.replay_records").Set(ps.ReplayRecords)
 	p.metrics.Counter("graph.load_ns").Set(graph.LastLoadNanos())
+	// Whether (0/1) and for how long the mutable maps of a cold columnar
+	// load were materialized: 0 until the first write.
+	hydrations, hydrateNanos := p.cfg.Graph.HydrationStats()
+	p.metrics.Counter("graph.hydrations").Set(hydrations)
+	p.metrics.Counter("graph.hydrate_ns").Set(hydrateNanos)
 	var scs SemCacheStats
 	if p.semcache != nil {
 		scs = p.semcache.stats()

@@ -398,20 +398,6 @@ func BenchmarkPipelineAsk(b *testing.B) {
 	}
 }
 
-func BenchmarkPipelineBuild(b *testing.B) {
-	g, _, err := iyp.Build(iyp.SmallConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := llm.NewSim(llm.DefaultSimConfig(BuildLexicon(g)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := New(Config{Graph: g, Model: model}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestAskClosedBook(t *testing.T) {
 	p, w := newTestPipeline(t, 0)
 	q := fmt.Sprintf("How many prefixes does AS%d originate?", w.ASes[0].ASN)

@@ -309,7 +309,7 @@ func (ex *executor) execMatch(m *MatchClause) error {
 	if ex.ctx.plan != nil {
 		hints = ex.ctx.plan.hintsFor(m)
 	} else {
-		hints = planMatch(ex.ctx.g, m, ex.ctx.opts)
+		hints = planMatch(ex.ctx.r, m, ex.ctx.opts)
 	}
 	for _, row := range ex.rows {
 		if err := ex.ctx.checkCancel(); err != nil {

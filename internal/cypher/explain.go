@@ -27,13 +27,16 @@ func Explain(g *graph.Graph, src string, opts Options) (string, error) {
 
 // describeAll renders the execution plan of a parsed query and its
 // UNION parts — the shared body of Explain and PreparedQuery.Describe.
+// Nothing is executed, so write queries too are planned and described
+// against one pinned View: EXPLAIN never touches the locked graph API.
 func describeAll(g *graph.Graph, q *Query, opts Options) string {
 	opts = opts.withDefaults()
-	plan := planQuery(g, q, opts)
+	view := g.View()
+	plan := planQueryOn(g, view, view.Version(), q, opts)
 	var b strings.Builder
 	if plan.streamable && !opts.DisableStreaming {
 		b.WriteString("streaming operator pipeline\n")
-		renderStages(&b, g, plan.parts[0], opts)
+		renderStages(&b, view, plan.parts[0], opts)
 		for i, part := range q.Unions {
 			kind := "UNION"
 			if part.All {
@@ -44,7 +47,7 @@ func describeAll(g *graph.Graph, q *Query, opts Options) string {
 				dedup = ""
 			}
 			fmt.Fprintf(&b, "%s (part %d)%s\n", kind, i+2, dedup)
-			renderStages(&b, g, plan.parts[i+1], opts)
+			renderStages(&b, view, plan.parts[i+1], opts)
 		}
 		return b.String()
 	}
@@ -53,21 +56,21 @@ func describeAll(g *graph.Graph, q *Query, opts Options) string {
 		reason = "Options.DisableStreaming"
 	}
 	fmt.Fprintf(&b, "materializing executor (%s)\n", reason)
-	describeQuery(&b, g, q, opts, "")
+	describeQuery(&b, view, q, opts, "")
 	for i, part := range q.Unions {
 		kind := "UNION"
 		if part.All {
 			kind = "UNION ALL"
 		}
 		fmt.Fprintf(&b, "%s (part %d)\n", kind, i+2)
-		describeQuery(&b, g, part.Query, opts, "")
+		describeQuery(&b, view, part.Query, opts, "")
 	}
 	return b.String()
 }
 
 // renderStages walks one part's operator chain from the seed to the
 // output and renders each operator with its planning decisions.
-func renderStages(b *strings.Builder, g *graph.Graph, sp *stagePlan, opts Options) {
+func renderStages(b *strings.Builder, view *graph.View, sp *stagePlan, opts Options) {
 	// Collect the chain in execution order (seed first).
 	var chain []*stage
 	for s := sp.root; s != nil; s = s.input {
@@ -76,7 +79,7 @@ func renderStages(b *strings.Builder, g *graph.Graph, sp *stagePlan, opts Option
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
 		chain[i], chain[j] = chain[j], chain[i]
 	}
-	ctx := &evalCtx{g: g, r: g, opts: opts}
+	ctx := &evalCtx{r: view, opts: opts}
 	bound := map[string]bool{}
 	for _, s := range chain {
 		switch s.kind {
@@ -94,7 +97,7 @@ func renderStages(b *strings.Builder, g *graph.Graph, sp *stagePlan, opts Option
 				anchor := pickAnchorWithBound(m, pat, bound)
 				np := pat.Nodes[anchor]
 				fmt.Fprintf(b, "  anchor: node %d %s via %s\n",
-					anchor, nodePatternLabel(np), accessPath(g, np, bound, s.hints, opts))
+					anchor, nodePatternLabel(np), accessPath(view, np, bound, s.hints, opts))
 				if hops := len(pat.Rels); hops > 0 {
 					fmt.Fprintf(b, "  expand: %d relationship hop(s)\n", hops)
 				}
@@ -207,8 +210,8 @@ func skipLimitString(skipE, limitE Expr) string {
 	return ExprString(skipE) + "+" + ExprString(limitE)
 }
 
-func describeQuery(b *strings.Builder, g *graph.Graph, q *Query, opts Options, indent string) {
-	ctx := &evalCtx{g: g, r: g, opts: opts}
+func describeQuery(b *strings.Builder, view *graph.View, q *Query, opts Options, indent string) {
+	ctx := &evalCtx{r: view, opts: opts}
 	m := &matcher{ctx: ctx, usedRels: map[int64]bool{}}
 	bound := map[string]bool{}
 	for _, cl := range q.Clauses {
@@ -218,13 +221,13 @@ func describeQuery(b *strings.Builder, g *graph.Graph, q *Query, opts Options, i
 			if x.Optional {
 				kw = "OPTIONAL MATCH"
 			}
-			m.hints = planMatch(g, x, opts)
+			m.hints = planMatch(view, x, opts)
 			for _, pat := range x.Patterns {
 				fmt.Fprintf(b, "%s%s %s\n", indent, kw, PatternString(pat))
 				anchor := pickAnchorWithBound(m, pat, bound)
 				np := pat.Nodes[anchor]
 				fmt.Fprintf(b, "%s  anchor: node %d %s via %s\n",
-					indent, anchor, nodePatternLabel(np), accessPath(g, np, bound, m.hints, opts))
+					indent, anchor, nodePatternLabel(np), accessPath(view, np, bound, m.hints, opts))
 				hops := len(pat.Rels)
 				if hops > 0 {
 					fmt.Fprintf(b, "%s  expand: %d relationship hop(s)\n", indent, hops)
@@ -305,14 +308,14 @@ func nodePatternLabel(np *NodePattern) string {
 }
 
 // accessPath names the cheapest available scan for the anchor.
-func accessPath(g *graph.Graph, np *NodePattern, bound map[string]bool, hints matchHints, opts Options) string {
+func accessPath(view *graph.View, np *NodePattern, bound map[string]bool, hints matchHints, opts Options) string {
 	if np.Var != "" && bound[np.Var] {
 		return "bound variable `" + np.Var + "`"
 	}
 	if !opts.DisableIndexes {
 		for _, label := range np.Labels {
 			for prop := range np.Props {
-				if g.HasIndex(label, prop) {
+				if view.HasIndex(label, prop) {
 					return fmt.Sprintf("property index (%s, %s)", label, prop)
 				}
 			}
@@ -327,13 +330,13 @@ func accessPath(g *graph.Graph, np *NodePattern, bound map[string]bool, hints ma
 	}
 	if len(np.Labels) > 0 {
 		best := np.Labels[0]
-		bestN := len(g.NodesByLabel(best))
+		bestN := len(view.NodesByLabel(best))
 		for _, l := range np.Labels[1:] {
-			if n := len(g.NodesByLabel(l)); n < bestN {
+			if n := len(view.NodesByLabel(l)); n < bestN {
 				best, bestN = l, n
 			}
 		}
 		return fmt.Sprintf("label scan :%s (%d nodes)", best, bestN)
 	}
-	return fmt.Sprintf("all-nodes scan (%d nodes)", g.NodeCount())
+	return fmt.Sprintf("all-nodes scan (%d nodes)", view.NodeCount())
 }

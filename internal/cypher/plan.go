@@ -53,15 +53,30 @@ type queryPlan struct {
 }
 
 // planQuery derives the full plan for a query (including UNION parts)
-// against the current state of g.
+// against the reader the query will execute on: a pinned View for a
+// read-only query, the live graph for one with write clauses (which
+// reads its own writes through the locked API anyway). A cold columnar
+// graph therefore stays cold through planning.
 func planQuery(g *graph.Graph, q *Query, opts Options) *queryPlan {
+	if q.ReadOnly() {
+		view := g.View()
+		return planQueryOn(g, view, view.Version(), q, opts)
+	}
+	// Version before index set: a plan may be stamped older than what
+	// it saw (one replan), never newer.
+	return planQueryOn(g, g, g.Version(), q, opts)
+}
+
+// planQueryOn is planQuery with the index set read from r, which must
+// be g or a View of it, at (or after) the given graph version.
+func planQueryOn(g *graph.Graph, r graph.Reader, version uint64, q *Query, opts Options) *queryPlan {
 	p := &queryPlan{
 		graph:          g,
-		version:        g.Version(),
+		version:        version,
 		disableIndexes: opts.DisableIndexes,
 		hints:          make(map[*MatchClause]matchHints),
 	}
-	p.planInto(g, q, opts)
+	p.planInto(r, q, opts)
 
 	p.streamable = true
 	p.lastDedup = -1
@@ -89,16 +104,16 @@ func unionQueries(q *Query) []*Query {
 	return out
 }
 
-func (p *queryPlan) planInto(g *graph.Graph, q *Query, opts Options) {
+func (p *queryPlan) planInto(r graph.Reader, q *Query, opts Options) {
 	for _, cl := range q.Clauses {
 		if m, ok := cl.(*MatchClause); ok {
-			if h := planMatch(g, m, opts); len(h) > 0 {
+			if h := planMatch(r, m, opts); len(h) > 0 {
 				p.hints[m] = h
 			}
 		}
 	}
 	for _, part := range q.Unions {
-		p.planInto(g, part.Query, opts)
+		p.planInto(r, part.Query, opts)
 	}
 }
 
@@ -114,8 +129,9 @@ func (p *queryPlan) hintsFor(m *MatchClause) matchHints {
 // clause. A conjunct qualifies when it has the shape `v.prop = expr` (or
 // mirrored), v is a pattern node variable carrying a label with an index
 // on prop, and expr is row-independent (literals and parameters only),
-// so its value is the same for every candidate row.
-func planMatch(g *graph.Graph, m *MatchClause, opts Options) matchHints {
+// so its value is the same for every candidate row. The index set is
+// read from r, the reader the MATCH runs against.
+func planMatch(r graph.Reader, m *MatchClause, opts Options) matchHints {
 	if opts.DisableIndexes || m.Where == nil {
 		return nil
 	}
@@ -138,7 +154,7 @@ func planMatch(g *graph.Graph, m *MatchClause, opts Options) matchHints {
 			continue
 		}
 		for _, label := range varLabels[v] {
-			if !g.HasIndex(label, prop) {
+			if !r.HasIndex(label, prop) {
 				continue
 			}
 			if hints == nil {

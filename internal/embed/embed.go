@@ -11,8 +11,8 @@
 package embed
 
 import (
-	"hash/fnv"
 	"math"
+	"unicode/utf8"
 
 	"chatiyp/internal/textutil"
 )
@@ -81,6 +81,9 @@ type Embedder struct {
 	// weights; nil disables IDF (all features weigh 1).
 	idf  map[uint32]float64
 	docs int
+	// unseenIDF weighs a feature the fitted corpus never showed like a
+	// rare term: log(1 + docs).
+	unseenIDF float64
 }
 
 // New returns an embedder with the given configuration.
@@ -100,52 +103,125 @@ func NewDefault() *Embedder {
 // Dim returns the vector width.
 func (e *Embedder) Dim() int { return e.cfg.Dim }
 
-// features extracts the hashed feature stream of a text.
-func (e *Embedder) features(text string, fn func(h uint32, weight float64)) {
-	tokens := textutil.ContentTokens(text)
-	work := tokens
+// The three feature kinds, their base weights, and the FNV-1a state
+// after their "w:" / "c:" / "b:" prefix. A feature's hash is FNV-1a of
+// prefix+text; folding the text into the prefix state gives the same
+// 32 bits without building the string or a hash.Hash32.
+const (
+	kindWord uint8 = iota
+	kindChar
+	kindBigram
+)
+
+var (
+	kindWeight = [...]float64{kindWord: 1.0, kindChar: 0.3, kindBigram: 0.7}
+	kindSeed   = [...]uint32{
+		kindWord:   fnvString(fnvOffset32, "w:"),
+		kindChar:   fnvString(fnvOffset32, "c:"),
+		kindBigram: fnvString(fnvOffset32, "b:"),
+	}
+)
+
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+func fnvByte(h uint32, b byte) uint32 { return (h ^ uint32(b)) * fnvPrime32 }
+
+func fnvString(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
+	}
+	return h
+}
+
+// features extracts the hashed feature stream of a text: per token its
+// word feature and then its character trigrams, and after the last
+// token the word bigrams. Embed adds float32s in this order, so the
+// order is part of the vector's bits.
+func (e *Embedder) features(text string, fn func(h uint32, kind uint8)) {
+	work := textutil.ContentTokens(text)
 	if e.cfg.StemTokens {
-		work = textutil.StemAll(tokens)
+		for i, tok := range work {
+			work[i] = textutil.Stem(tok)
+		}
 	}
 	for _, tok := range work {
-		fn(hashFeature("w:"+tok), 1.0)
+		fn(fnvString(kindSeed[kindWord], tok), kindWord)
 		if e.cfg.CharNGram && len(tok) >= 3 {
-			for _, g := range textutil.CharNGrams(tok, 3) {
-				fn(hashFeature("c:"+g), 0.3)
-			}
+			charTrigrams(tok, fn)
 		}
 	}
 	if e.cfg.Bigrams {
-		for _, bg := range textutil.NGrams(work, 2) {
-			fn(hashFeature("b:"+bg), 0.7)
+		for i := 0; i+1 < len(work); i++ {
+			h := fnvString(kindSeed[kindBigram], work[i])
+			fn(fnvString(fnvByte(h, ' '), work[i+1]), kindBigram)
 		}
 	}
 }
 
-func hashFeature(s string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return h.Sum32()
+// charTrigrams hashes the rune trigrams of "^"+tok+"$" (see
+// textutil.CharNGrams) by sliding three rune boundaries over the padded
+// bytes. tok holds at least three bytes, so there is at least one.
+func charTrigrams(tok string, fn func(h uint32, kind uint8)) {
+	var buf [64]byte // longer tokens spill to the heap
+	padded := append(append(append(buf[:0], '^'), tok...), '$')
+	next := func(p int) int {
+		if padded[p] < utf8.RuneSelf {
+			return p + 1
+		}
+		_, size := utf8.DecodeRune(padded[p:])
+		return p + size
+	}
+	p0, p1 := 0, 1
+	for p2 := next(p1); p2 < len(padded); {
+		p3 := next(p2)
+		h := kindSeed[kindChar]
+		for _, b := range padded[p0:p3] {
+			h = fnvByte(h, b)
+		}
+		fn(h, kindChar)
+		p0, p1, p2 = p1, p2, p3
+	}
+}
+
+// docFreq counts, per feature, the documents it occurs in. last is the
+// number of the last document that counted the feature, which stands in
+// for a per-document set of features already seen.
+type docFreq struct {
+	m    map[uint32]dfEntry
+	docs int32
+}
+
+type dfEntry struct{ n, last int32 }
+
+func (d *docFreq) add(h uint32) {
+	if x := d.m[h]; x.last != d.docs {
+		d.m[h] = dfEntry{n: x.n + 1, last: d.docs}
+	}
 }
 
 // Fit computes IDF weights over a document corpus. Calling Fit replaces
 // any previous fit. Embedding quality improves because corpus-frequent
 // features (schema boilerplate) stop dominating the vectors.
 func (e *Embedder) Fit(corpus []string) {
-	df := make(map[uint32]int)
+	df := docFreq{m: make(map[uint32]dfEntry)}
 	for _, doc := range corpus {
-		seen := make(map[uint32]bool)
-		e.features(doc, func(h uint32, _ float64) {
-			if !seen[h] {
-				seen[h] = true
-				df[h]++
-			}
-		})
+		df.docs++
+		e.features(doc, func(h uint32, _ uint8) { df.add(h) })
 	}
-	e.docs = len(corpus)
+	e.setIDF(df.m, int(df.docs))
+}
+
+// setIDF installs the weights for document frequencies df over docs
+// documents.
+func (e *Embedder) setIDF(df map[uint32]dfEntry, docs int) {
+	e.docs = docs
+	e.unseenIDF = math.Log(1 + float64(docs))
 	e.idf = make(map[uint32]float64, len(df))
-	for h, n := range df {
-		e.idf[h] = math.Log(1 + float64(e.docs)/float64(1+n))
+	for h, x := range df {
+		e.idf[h] = math.Log(1 + float64(docs)/float64(1+x.n))
 	}
 }
 
@@ -156,27 +232,96 @@ func (e *Embedder) Fitted() bool { return e.idf != nil }
 // stopword-only text yields the zero vector.
 func (e *Embedder) Embed(text string) Vector {
 	v := make(Vector, e.cfg.Dim)
-	e.features(text, func(h uint32, weight float64) {
-		w := weight
-		if e.idf != nil {
-			if idf, ok := e.idf[h]; ok {
-				w *= idf
-			} else {
-				// Unseen feature: weigh like a rare term.
-				w *= math.Log(1 + float64(e.docs))
-			}
-		}
-		// Signed feature hashing: a second hash decides the sign, which
-		// keeps the expectation of collisions at zero.
-		idx := int(h % uint32(e.cfg.Dim))
-		if (h>>16)&1 == 1 {
-			v[idx] += float32(w)
-		} else {
-			v[idx] -= float32(w)
-		}
-	})
+	e.features(text, func(h uint32, kind uint8) { e.accumulate(v, h, kind) })
 	normalize(v)
 	return v
+}
+
+// accumulate adds one weighted feature to v.
+func (e *Embedder) accumulate(v Vector, h uint32, kind uint8) {
+	w := kindWeight[kind]
+	if e.idf != nil {
+		if idf, ok := e.idf[h]; ok {
+			w *= idf
+		} else {
+			w *= e.unseenIDF
+		}
+	}
+	// Signed feature hashing: a second hash decides the sign, which
+	// keeps the expectation of collisions at zero.
+	idx := int(h % uint32(e.cfg.Dim))
+	if (h>>16)&1 == 1 {
+		v[idx] += float32(w)
+	} else {
+		v[idx] -= float32(w)
+	}
+}
+
+// Corpus holds the hashed features of a run of documents, extracted
+// once, so that a corpus can be fitted and then embedded without
+// tokenizing any document twice. A Corpus is used by one goroutine at a
+// time; a parallel build gives every worker its own and fits them
+// together with FitCorpora.
+type Corpus struct {
+	e      *Embedder
+	df     docFreq
+	hashes []uint32
+	kinds  []uint8
+	ends   []int // ends[i] is len(hashes) after document i
+}
+
+// NewCorpus returns an empty corpus for this embedder's configuration.
+func (e *Embedder) NewCorpus() *Corpus {
+	return &Corpus{e: e, df: docFreq{m: make(map[uint32]dfEntry)}}
+}
+
+// Add extracts the features of one more document.
+func (c *Corpus) Add(text string) {
+	c.df.docs++
+	c.e.features(text, func(h uint32, kind uint8) {
+		c.df.add(h)
+		c.hashes = append(c.hashes, h)
+		c.kinds = append(c.kinds, kind)
+	})
+	c.ends = append(c.ends, len(c.hashes))
+}
+
+// Len returns the number of documents added.
+func (c *Corpus) Len() int { return len(c.ends) }
+
+// FitCorpora computes IDF weights over the documents of all the given
+// corpora, exactly as Fit would over their texts in any order: document
+// frequencies are integer counts, so summing the per-corpus counts is
+// independent of how the documents were split.
+func (e *Embedder) FitCorpora(corpora []*Corpus) {
+	var df map[uint32]dfEntry
+	docs := 0
+	for _, c := range corpora {
+		docs += c.Len()
+		if df == nil {
+			df = c.df.m
+			continue
+		}
+		for h, x := range c.df.m {
+			df[h] = dfEntry{n: df[h].n + x.n}
+		}
+	}
+	e.setIDF(df, docs)
+}
+
+// EmbedInto writes the vector Embed would return for document i into
+// dst, which must be Dim wide: the same features, weighted and added in
+// the same order, so the result is bit-identical.
+func (c *Corpus) EmbedInto(i int, dst Vector) {
+	clear(dst)
+	lo := 0
+	if i > 0 {
+		lo = c.ends[i-1]
+	}
+	for j := lo; j < c.ends[i]; j++ {
+		c.e.accumulate(dst, c.hashes[j], c.kinds[j])
+	}
+	normalize(dst)
 }
 
 // Similarity is a convenience for Embed(a).Cosine(Embed(b)).

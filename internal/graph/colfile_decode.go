@@ -15,8 +15,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"sync/atomic"
+	"time"
 	"unsafe"
 )
 
@@ -176,14 +178,15 @@ func LoadColumnarBytes(data []byte, opts ColLoadOptions) (*Graph, *ColInfo, erro
 		nextNode:  nextNode,
 		nextRel:   nextRel,
 		allNodes:  nodeIDs,
+
+		relTypeCount: make(map[string]int),
 	}
 	lz := &colLazy{
 		strs: strs, vals: vals,
 		nodeProps: nodeProps, relProps: relProps,
 		nodeIDs: nodeIDs, relIDs: relIDs,
 		relStarts: relStarts, relEnds: relEnds, typeRefs: typeRefs,
-		nodeLabels:   nodeLabels,
-		relTypeCount: make(map[string]int),
+		nodeLabels: nodeLabels,
 	}
 
 	// Relationship rows: IDs strictly ascending and in range, types
@@ -205,7 +208,7 @@ func LoadColumnarBytes(data []byte, opts ColLoadOptions) (*Graph, *ColInfo, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		lz.relTypeCount[typ]++
+		rs.relTypeCount[typ]++
 	}
 
 	// Node rows and labels. Label slices are carved eagerly — they are
@@ -273,7 +276,7 @@ func LoadColumnarBytes(data []byte, opts ColLoadOptions) (*Graph, *ColInfo, erro
 		return nil, nil, err
 	}
 
-	rs.relTypes = relTypesLocked(lz.relTypeCount)
+	rs.relTypes = relTypesLocked(rs.relTypeCount)
 	g.version.Store(info.Version)
 	g.published.Store(rs)
 	g.snapshotPublishes.Add(1)
@@ -303,7 +306,6 @@ type colLazy struct {
 	labelStrings []string
 	nodeRow      []int32 // node ID -> column row + 1; 0 = absent
 	relRow       []int32 // rel ID -> column row + 1; 0 = absent
-	relTypeCount map[string]int
 }
 
 // nodePresent reports whether the snapshot holds a node with the ID.
@@ -391,6 +393,7 @@ func (g *Graph) hydrateLocked() {
 	if !g.cold.Load() {
 		return
 	}
+	start := time.Now()
 	rs := g.published.Load()
 	lz := rs.lazy
 	n, m := rs.nodeCount, rs.relCount
@@ -464,10 +467,8 @@ func (g *Graph) hydrateLocked() {
 		g.propIndex[label] = cpProp
 	}
 
-	g.relTypeCount = make(map[string]int, len(lz.relTypeCount))
-	for t, c := range lz.relTypeCount {
-		g.relTypeCount[t] = c
-	}
+	g.relTypeCount = maps.Clone(rs.relTypeCount)
+	g.hydrateNanos.Store(max(1, time.Since(start).Nanoseconds()))
 	g.cold.Store(false)
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -178,5 +179,56 @@ func TestColumnarLazyConcurrentReadersAndWriter(t *testing.T) {
 	}
 	if got := g.NodeCount(); got != 70 {
 		t.Fatalf("NodeCount = %d, want 70", got)
+	}
+}
+
+// TestCollectStatsStaysCold checks the View-backed CollectStats against
+// a count made entity by entity through the locked API of the original
+// graph, on the cold load and on the original, and that computing it
+// does not hydrate the cold load.
+func TestCollectStatsStaysCold(t *testing.T) {
+	cold, orig := lazyTestGraph(t)
+	want := Stats{
+		Nodes:         orig.NodeCount(),
+		Relationships: orig.RelationshipCount(),
+		NodesByLabel:  map[string]int{},
+		RelsByType:    map[string]int{},
+	}
+	totalDeg := 0
+	orig.ForEachNode(func(n *Node) bool {
+		for _, l := range n.Labels {
+			want.NodesByLabel[l]++
+		}
+		o, i := orig.Degree(n.ID, Outgoing), orig.Degree(n.ID, Incoming)
+		want.MaxOutDegree = max(want.MaxOutDegree, o)
+		want.MaxInDegree = max(want.MaxInDegree, i)
+		totalDeg += o + i
+		return true
+	})
+	orig.ForEachRelationship(func(r *Relationship) bool {
+		want.RelsByType[r.Type]++
+		return true
+	})
+	want.AvgDegree = float64(totalDeg) / float64(want.Nodes)
+
+	for name, g := range map[string]*Graph{"cold": cold, "original": orig} {
+		if got := g.CollectStats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s graph: CollectStats = %+v, want %+v", name, got, want)
+		}
+	}
+	if n, _ := cold.HydrationStats(); n != 0 {
+		t.Fatal("CollectStats hydrated the cold graph")
+	}
+	if _, err := cold.CreateNode([]string{"AS"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n, ns := cold.HydrationStats(); n != 1 || ns <= 0 {
+		t.Fatalf("HydrationStats after the first write = (%d, %d), want (1, >0)", n, ns)
+	}
+	want.Nodes++
+	want.NodesByLabel["AS"]++
+	want.AvgDegree = float64(totalDeg) / float64(want.Nodes)
+	if got := cold.CollectStats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after a write: CollectStats = %+v, want %+v", got, want)
 	}
 }

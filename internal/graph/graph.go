@@ -176,6 +176,9 @@ type Graph struct {
 	// published lazy epoch (colfile_decode.go) and the first use of the
 	// locked API hydrates the maps (ensureMutable / hydrateLocked).
 	cold atomic.Bool
+	// hydrateNanos is how long the one hydration a cold load can have
+	// took; 0 until it has happened.
+	hydrateNanos atomic.Int64
 }
 
 // ensureMutable materializes the mutable maps of a cold columnar graph
@@ -188,6 +191,18 @@ func (g *Graph) ensureMutable() {
 		g.hydrateLocked()
 		g.mu.Unlock()
 	}
+}
+
+// HydrationStats reports how often (0 or 1) and for how long the
+// mutable maps of a cold columnar load were materialized. Only
+// mutators, CheckIntegrity, the JSONL export and the locked read API
+// hydrate; Views, planning and CollectStats never do. A graph that was
+// not loaded from a columnar snapshot reports zeros.
+func (g *Graph) HydrationStats() (hydrations, nanos int64) {
+	if ns := g.hydrateNanos.Load(); ns > 0 {
+		return 1, ns
+	}
+	return 0, 0
 }
 
 type labelScanEntry struct {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -19,28 +20,33 @@ type Stats struct {
 	AvgDegree     float64
 }
 
-// CollectStats walks the graph once and returns its Stats.
+// CollectStats returns the Stats of the current epoch (see
+// View.CollectStats). It pins one View and touches nothing else, so on
+// a cold columnar load it neither hydrates the mutable maps nor
+// materializes an entity.
 func (g *Graph) CollectStats() Stats {
-	g.ensureMutable()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	return g.View().CollectStats()
+}
+
+// CollectStats summarizes the pinned epoch from its tables alone:
+// label postings, the per-type relationship counts and the lengths of
+// the adjacency lists. No node or relationship is resolved.
+func (v *View) CollectStats() Stats {
+	rs := v.rs
 	s := Stats{
-		Nodes:         len(g.nodes),
-		Relationships: len(g.rels),
-		NodesByLabel:  make(map[string]int, len(g.byLabel)),
-		RelsByType:    make(map[string]int),
+		Nodes:         rs.nodeCount,
+		Relationships: rs.relCount,
+		NodesByLabel:  make(map[string]int, len(rs.labels)),
+		RelsByType:    maps.Clone(rs.relTypeCount),
 	}
-	for l, set := range g.byLabel {
-		if len(set) > 0 {
-			s.NodesByLabel[l] = len(set)
+	for _, l := range rs.labels {
+		if n := len(rs.byLabel[l]); n > 0 {
+			s.NodesByLabel[l] = n
 		}
 	}
-	for _, r := range g.rels {
-		s.RelsByType[r.Type]++
-	}
 	totalDeg := 0
-	for id := range g.nodes {
-		o, i := len(g.out[id]), len(g.in[id])
+	for _, id := range rs.allNodes {
+		o, i := len(rs.adj[id].out.all), len(rs.adj[id].in.all)
 		if o > s.MaxOutDegree {
 			s.MaxOutDegree = o
 		}

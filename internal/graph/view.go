@@ -24,6 +24,7 @@ package graph
 // amortizes over write bursts.
 
 import (
+	"maps"
 	"slices"
 	"sort"
 )
@@ -124,6 +125,9 @@ type readState struct {
 	indexed   map[string]map[string]bool
 	nodeCount int
 	relCount  int
+	// relTypeCount is the live relationship count per type, so stats
+	// never walk the relationship table. Never nil.
+	relTypeCount map[string]int
 	// nextNode and nextRel freeze the ID allocators at publication so a
 	// snapshot serialized from a pinned View (snapshot.go, colfile.go)
 	// restores allocator state without touching the live graph.
@@ -528,6 +532,7 @@ func (g *Graph) publishLocked() *readState {
 		rs.byLabel, rs.labels = prev.byLabel, prev.labels
 	}
 
+	rs.relTypeCount = maps.Clone(g.relTypeCount) // O(#types)
 	if prev == nil || g.relTypesDirty {
 		rs.relTypes = relTypesLocked(g.relTypeCount)
 	} else {

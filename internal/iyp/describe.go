@@ -2,6 +2,7 @@ package iyp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -16,33 +17,63 @@ type Description struct {
 	Text   string
 }
 
-// Describe renders natural-language descriptions for every AS,
-// Organization, IXP, Country, and DomainName node. Prefixes and IPs are
-// deliberately excluded: they are numerous and retrieval over them is
-// anchored (exact-match) rather than semantic, matching how ChatIYP
+// describers lists the described labels with their renderers. A node
+// carrying several of them is described once, under the first.
+var describers = []struct {
+	label  string
+	render func(*graph.View, *graph.Node) Description
+}{
+	{LabelAS, describeAS},
+	{LabelIXP, describeIXP},
+	{LabelOrganization, describeOrg},
+	{LabelCountry, describeCountry},
+	{LabelDomainName, describeDomain},
+}
+
+// Describable is one node Describe renders, and which renderer it gets
+// (an index into describers).
+type Describable struct {
+	NodeID int64
+	kind   int
+}
+
+// DescribableNodes lists every AS, Organization, IXP, Country, and
+// DomainName node of the view in ascending ID order. Prefixes and IPs
+// are deliberately excluded: they are numerous and retrieval over them
+// is anchored (exact-match) rather than semantic, matching how ChatIYP
 // builds its vector context over node descriptions.
+func DescribableNodes(v *graph.View) []Describable {
+	var out []Describable
+	for kind, d := range describers {
+		for _, id := range v.NodesByLabel(d.label) {
+			out = append(out, Describable{NodeID: id, kind: kind})
+		}
+	}
+	// Stable: a node with two described labels keeps the first.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
+	return slices.CompactFunc(out, func(a, b Describable) bool { return a.NodeID == b.NodeID })
+}
+
+// DescribeNode renders one listed node against the view it was listed
+// from. It only reads the view, so any number of goroutines may render
+// different nodes at once.
+func DescribeNode(v *graph.View, d Describable) Description {
+	return describers[d.kind].render(v, v.Node(d.NodeID))
+}
+
+// Describe renders the natural-language descriptions of
+// DescribableNodes, in that order: the serial form of the build
+// core.New runs on all cores.
 func Describe(graphSrc *graph.Graph) []Description {
 	// One pinned snapshot serves the whole walk: every Degree/Incident
 	// call below is lock-free, and a concurrent writer cannot make the
 	// descriptions observe two different graph states.
 	g := graphSrc.View()
-	var out []Description
-	for _, id := range g.NodesByLabel(LabelAS) {
-		out = append(out, describeAS(g, g.Node(id)))
+	nodes := DescribableNodes(g)
+	out := make([]Description, len(nodes))
+	for i, d := range nodes {
+		out[i] = DescribeNode(g, d)
 	}
-	for _, id := range g.NodesByLabel(LabelIXP) {
-		out = append(out, describeIXP(g, g.Node(id)))
-	}
-	for _, id := range g.NodesByLabel(LabelOrganization) {
-		out = append(out, describeOrg(g, g.Node(id)))
-	}
-	for _, id := range g.NodesByLabel(LabelCountry) {
-		out = append(out, describeCountry(g, g.Node(id)))
-	}
-	for _, id := range g.NodesByLabel(LabelDomainName) {
-		out = append(out, describeDomain(g, g.Node(id)))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
 	return out
 }
 

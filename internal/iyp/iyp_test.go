@@ -1,6 +1,7 @@
 package iyp
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -46,6 +47,19 @@ func TestBuildDeterministic(t *testing.T) {
 	s1, s2 := g1.CollectStats(), g2.CollectStats()
 	if s1.Nodes != s2.Nodes || s1.Relationships != s2.Relationships {
 		t.Fatalf("non-deterministic build: %+v vs %+v", s1, s2)
+	}
+	// The columnar encoding is byte-stable for equal graphs, so equal
+	// bytes mean every entity, property and index posting is equal.
+	b1, err := g1.View().MarshalColumnar(graph.ColMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := g2.View().MarshalColumnar(graph.ColMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1, b2) {
+		t.Fatal("two builds of one seed encode to different IYPCOL1 bytes")
 	}
 	// Same ASNs in the same order.
 	w1 := NewWorld(SmallConfig())

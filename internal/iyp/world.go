@@ -311,9 +311,17 @@ func NewWorld(cfg Config) *World {
 	for i := range w.ASes {
 		byCountry[w.ASes[i].Country.Code] = append(byCountry[w.ASes[i].Country.Code], i)
 	}
-	for _, idxs := range byCountry {
+	// Sorted country order: the number of draws differs per country, so
+	// ranging over the map would hand every later draw a different
+	// stream from one build of a seed to the next.
+	codes := make([]string, 0, len(byCountry))
+	for code := range byCountry {
+		codes = append(codes, code)
+	}
+	sort.Strings(codes)
+	for _, code := range codes {
 		remaining := 100.0
-		for k, i := range idxs {
+		for k, i := range byCountry[code] {
 			if k >= 5 {
 				break
 			}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"chatiyp/internal/core"
+	"chatiyp/internal/graph"
 	"chatiyp/internal/iyp"
 	"chatiyp/internal/llm"
 	"chatiyp/internal/metrics"
@@ -644,7 +645,7 @@ func TestMetricsExposePersistCounters(t *testing.T) {
 	if err := json.Unmarshal(mrec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"persist.wal_appends", "persist.wal_bytes", "persist.checkpoints", "persist.replay_records", "graph.load_ns"} {
+	for _, k := range []string{"persist.wal_appends", "persist.wal_bytes", "persist.checkpoints", "persist.replay_records", "graph.load_ns", "graph.hydrations", "graph.hydrate_ns"} {
 		if _, ok := resp.Counters[k]; !ok {
 			t.Errorf("metrics response missing %q", k)
 		}
@@ -694,5 +695,71 @@ func TestSemCacheWarmAskOverHTTP(t *testing.T) {
 	}
 	if resp.Counters["semcache.size"] < 1 {
 		t.Errorf("semcache.size = %d, want >= 1", resp.Counters["semcache.size"])
+	}
+}
+
+// TestStatsOnColdGraphStaysCold: GET /v1/stats on a graph loaded cold
+// from a columnar snapshot returns what the graph it was encoded from
+// returns, without hydrating it; the first write through /v1/cypher
+// does hydrate it, and the server says so once in its log.
+func TestStatsOnColdGraphStaysCold(t *testing.T) {
+	built, _, err := iyp.Build(iyp.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := built.View().MarshalColumnar(graph.ColMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, _, err := graph.LoadColumnarBytes(data, graph.ColLoadOptions{VerifyChecksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	serve := func(g *graph.Graph) http.Handler {
+		simCfg := llm.DefaultSimConfig(core.BuildLexicon(g))
+		p, err := core.New(core.Config{Graph: g, Model: llm.NewSim(simCfg), Metrics: metrics.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Pipeline: p, Logger: log.New(&logs, "", 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Handler()
+	}
+	coldH, builtH := serve(cold), serve(built)
+	stats := func(h http.Handler) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/stats: %d %s", rec.Code, rec.Body.String())
+		}
+		return rec.Body.String()
+	}
+	if got, want := stats(coldH), stats(builtH); got != want {
+		t.Fatalf("/v1/stats on the cold graph:\n%s\non the graph it was encoded from:\n%s", got, want)
+	}
+	var decoded graph.Stats
+	if err := json.Unmarshal([]byte(stats(coldH)), &decoded); err != nil || decoded.Nodes != built.NodeCount() || len(decoded.RelsByType) == 0 {
+		t.Fatalf("/v1/stats body does not decode to the graph's Stats: %+v, %v", decoded, err)
+	}
+	if n, _ := cold.HydrationStats(); n != 0 {
+		t.Fatal("GET /v1/stats hydrated the cold graph")
+	}
+	if strings.Contains(logs.String(), "graph hydrated") {
+		t.Fatalf("hydration logged before any write: %q", logs.String())
+	}
+
+	for i := 0; i < 2; i++ {
+		if rec := postJSON(t, coldH, "/v1/cypher", CypherRequest{Query: "CREATE (:StatsNote)"}); rec.Code != http.StatusOK {
+			t.Fatalf("write: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	if n, _ := cold.HydrationStats(); n != 1 {
+		t.Fatalf("hydrations after two writes = %d, want 1", n)
+	}
+	if n := strings.Count(logs.String(), "graph hydrated"); n != 1 {
+		t.Fatalf("the hydration is logged %d times, want once: %q", n, logs.String())
 	}
 }

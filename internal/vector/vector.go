@@ -89,11 +89,10 @@ func canceled(ctx context.Context) error {
 // as-is — no copy; anything else is scaled into a fresh slice. Zero
 // vectors pass through unchanged.
 func normalized(v embed.Vector) embed.Vector {
-	n := v.Norm()
-	if n == 0 || math.Abs(n-1) < 1e-9 {
+	inv, ok := rescale(v)
+	if !ok {
 		return v
 	}
-	inv := 1 / n
 	out := make(embed.Vector, len(v))
 	for i, x := range v {
 		out[i] = float32(float64(x) * inv)
@@ -101,15 +100,26 @@ func normalized(v embed.Vector) embed.Vector {
 	return out
 }
 
+// rescale returns the factor that brings v to unit length, and false
+// when v needs none (it is zero, or within 1e-9 of unit length).
+func rescale(v embed.Vector) (inv float64, ok bool) {
+	n := v.Norm()
+	if n == 0 || math.Abs(n-1) < 1e-9 {
+		return 0, false
+	}
+	return 1 / n, true
+}
+
 // Index is an exact top-k cosine index. Safe for concurrent use.
 type Index struct {
 	mu   sync.RWMutex
 	dim  int
 	docs []Doc
-	// norm holds the L2-normalized vector of each doc, aligned with
-	// docs. Cosine similarity against a normalized query is then a pure
-	// dot product — the scan never recomputes magnitudes.
-	norm []embed.Vector
+	// slab holds the L2-normalized vector of docs[i] at
+	// [i*dim, (i+1)*dim): one contiguous, pointer-free block the scan
+	// walks front to back. Cosine similarity against a normalized query
+	// is then a pure dot product — the scan never recomputes magnitudes.
+	slab []float32
 	byID map[int64]int
 }
 
@@ -118,6 +128,39 @@ var _ Searcher = (*Index)(nil)
 // NewIndex returns an empty index for vectors of the given width.
 func NewIndex(dim int) *Index {
 	return &Index{dim: dim, byID: make(map[int64]int)}
+}
+
+// NewIndexFromSlab returns an index over docs whose vectors are the
+// rows of slab: row i, slab[i*dim:(i+1)*dim], belongs to docs[i]. The
+// index adopts both slices instead of copying them — rows are
+// normalized in place, exactly as Add normalizes, and every docs[i].Vec
+// is pointed at its row — so a bulk build holds each vector once. Search
+// results equal those of an index filled by Add in the same order.
+// Document IDs must be distinct.
+func NewIndexFromSlab(dim int, docs []Doc, slab []float32) (*Index, error) {
+	if len(slab) != len(docs)*dim {
+		return nil, fmt.Errorf("%w: slab holds %d values, %d docs need %d", ErrDimMismatch, len(slab), len(docs), len(docs)*dim)
+	}
+	ix := &Index{dim: dim, docs: docs, slab: slab, byID: make(map[int64]int, len(docs))}
+	for i := range docs {
+		if _, dup := ix.byID[docs[i].ID]; dup {
+			return nil, fmt.Errorf("vector: duplicate document ID %d in bulk load", docs[i].ID)
+		}
+		ix.byID[docs[i].ID] = i
+		row := ix.row(i)
+		if inv, ok := rescale(row); ok {
+			for j, x := range row {
+				row[j] = float32(float64(x) * inv)
+			}
+		}
+		docs[i].Vec = row
+	}
+	return ix, nil
+}
+
+// row returns the normalized vector of docs[i]. Caller holds ix.mu.
+func (ix *Index) row(i int) embed.Vector {
+	return ix.slab[i*ix.dim : (i+1)*ix.dim : (i+1)*ix.dim]
 }
 
 // Len returns the number of indexed documents.
@@ -140,12 +183,12 @@ func (ix *Index) Add(d Doc) error {
 	defer ix.mu.Unlock()
 	if pos, ok := ix.byID[d.ID]; ok {
 		ix.docs[pos] = d
-		ix.norm[pos] = nv
+		copy(ix.row(pos), nv)
 		return nil
 	}
 	ix.byID[d.ID] = len(ix.docs)
 	ix.docs = append(ix.docs, d)
-	ix.norm = append(ix.norm, nv)
+	ix.slab = append(ix.slab, nv...)
 	return nil
 }
 
@@ -189,7 +232,7 @@ func (ix *Index) SearchContext(ctx context.Context, query embed.Vector, k int, f
 		if filter != nil && !filter(d) {
 			continue
 		}
-		score := q.Dot(ix.norm[i])
+		score := q.Dot(ix.row(i))
 		if h.Len() < k {
 			heap.Push(&h, Hit{Doc: d, Score: score})
 			continue

@@ -250,3 +250,86 @@ func TestExactSearchNormalizedScoring(t *testing.T) {
 		t.Fatalf("hit1 score = %f, want cosine %f", hits[1].Score, want)
 	}
 }
+
+// TestIndexFromSlabEqualsAdd: an index that adopts a slab of vectors
+// answers every search with the IDs and the score bits of an index
+// filled by Add with the same vectors, whether or not the rows arrive
+// at unit length, and keeps answering so after a replace and an append.
+func TestIndexFromSlabEqualsAdd(t *testing.T) {
+	const dim, n = 16, 300
+	rng := rand.New(rand.NewSource(7))
+	added := NewIndex(dim)
+	docs := make([]Doc, n)
+	slab := make([]float32, n*dim)
+	for i := 0; i < n; i++ {
+		row := slab[i*dim : (i+1)*dim]
+		for j := range row {
+			row[j] = float32(rng.NormFloat64())
+		}
+		if i%3 == 0 { // a third arrives normalized in float32, like Embed's output
+			inv := 1 / embed.Vector(row).Norm()
+			for j := range row {
+				row[j] = float32(float64(row[j]) * inv)
+			}
+		}
+		docs[i] = Doc{ID: int64(1000 - i), Text: fmt.Sprint("doc ", i), Kind: []string{"AS", "IXP"}[i%2]}
+		d := docs[i]
+		d.Vec = embed.Vector(row).Clone()
+		if err := added.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bulk, err := NewIndexFromSlab(dim, docs, slab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compare := func(stage string) {
+		t.Helper()
+		for trial := 0; trial < 50; trial++ {
+			q := make(embed.Vector, dim)
+			for j := range q {
+				q[j] = float32(rng.NormFloat64())
+			}
+			var filter Filter
+			if trial%2 == 1 {
+				filter = KindFilter("IXP")
+			}
+			want, err1 := added.Search(q, 7, filter)
+			got, err2 := bulk.Search(q, 7, filter)
+			if err1 != nil || err2 != nil || len(got) != len(want) {
+				t.Fatalf("%s: search errors %v / %v, %d vs %d hits", stage, err1, err2, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Doc.ID != want[i].Doc.ID || got[i].Doc.Text != want[i].Doc.Text ||
+					math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("%s, trial %d, hit %d: bulk (%d, %v), added (%d, %v)", stage, trial, i,
+						got[i].Doc.ID, got[i].Score, want[i].Doc.ID, want[i].Score)
+				}
+			}
+		}
+	}
+	compare("after the bulk load")
+
+	for _, d := range []Doc{
+		{ID: 1000, Text: "replaced", Kind: "IXP", Vec: embed.Vector{0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4}},
+		{ID: 5000, Text: "appended", Kind: "AS", Vec: embed.Vector{1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+	} {
+		if err := added.Add(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := bulk.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bulk.Len() != n+1 {
+		t.Fatalf("Len after a replace and an append = %d, want %d", bulk.Len(), n+1)
+	}
+	compare("after Add on the bulk-loaded index")
+
+	if _, err := NewIndexFromSlab(dim, make([]Doc, 3), make([]float32, 2*dim)); !errors.Is(err, ErrDimMismatch) {
+		t.Errorf("short slab: err = %v, want ErrDimMismatch", err)
+	}
+	if _, err := NewIndexFromSlab(dim, []Doc{{ID: 1}, {ID: 1}}, make([]float32, 2*dim)); err == nil {
+		t.Error("duplicate document IDs were accepted")
+	}
+}
