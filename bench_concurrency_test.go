@@ -2,11 +2,9 @@ package chatiyp
 
 // Concurrency benchmarks: throughput of the serving path under
 // parallel load, with serial baselines so the speedup of the worker
-// pool is visible in the numbers (scripts/bench_concurrency.sh writes
-// them to BENCH_concurrency.json via cmd/benchjson).
+// pool is visible in the numbers.
 //
 //	go test -run NONE -bench 'BenchmarkConcurrent' -benchmem
-//	sh scripts/bench_concurrency.sh
 
 import (
 	"context"

@@ -390,9 +390,7 @@ func BenchmarkAskByDifficulty(b *testing.B) {
 // BenchmarkStreamingLimitedScan is the streaming-executor headline: a
 // label scan capped by LIMIT, where the pushed-down limit stops the
 // scan after k anchor candidates instead of materializing and
-// projecting every AS in the dataset. `scripts/bench_streaming.sh`
-// records both variants in BENCH_streaming.json to track the perf
-// trajectory across PRs.
+// projecting every AS in the dataset.
 func BenchmarkStreamingLimitedScan(b *testing.B) {
 	sys, err := New(Options{Perfect: true})
 	if err != nil {

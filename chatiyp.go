@@ -21,7 +21,6 @@ package chatiyp
 import (
 	"context"
 	"net/http"
-	"time"
 
 	"chatiyp/internal/core"
 	"chatiyp/internal/cypher"
@@ -101,25 +100,9 @@ type Options struct {
 	// Resilience wraps the model in the LLM-backend resilience layer
 	// (per-task timeouts, retries, circuit breakers, bulkhead) and
 	// enables graceful degradation: when the backend stays down, Ask
-	// answers from retrieved facts instead of failing. The LLM* fields
-	// below tune it; their zero values mean the resilience defaults.
+	// answers from retrieved facts instead of failing. It runs with the
+	// resilience package defaults.
 	Resilience bool
-	// LLMTimeout bounds each model call (0 = default 10s, negative
-	// disables).
-	LLMTimeout time.Duration
-	// LLMRetries is how many times a failed model call is retried with
-	// jittered backoff (0 = default 2, negative disables).
-	LLMRetries int
-	// LLMBreakerThreshold is the consecutive-failure count that opens a
-	// task's circuit breaker (0 = default 5, negative disables
-	// breakers).
-	LLMBreakerThreshold int
-	// LLMBreakerCooldown is how long an open breaker waits before
-	// half-opening (0 = default 5s).
-	LLMBreakerCooldown time.Duration
-	// LLMMaxInFlight caps concurrent model calls — the bulkhead (0 =
-	// default 256, negative uncapped).
-	LLMMaxInFlight int
 	// LLMFaults injects deterministic faults into the model backend for
 	// chaos testing, as a spec string parsed by llm.ParseFaultSpec —
 	// e.g. "down", "error=0.3,hang=0.1", "text2cypher:failfirst=5".
@@ -184,13 +167,7 @@ func FromGraph(g *graph.Graph, world *iyp.World, opts Options) (*System, error) 
 		SemCacheSize:          opts.SemCacheSize,
 	}
 	if opts.Resilience {
-		coreCfg.Resilience = &resilience.Config{
-			Timeout:          opts.LLMTimeout,
-			Retries:          opts.LLMRetries,
-			BreakerThreshold: opts.LLMBreakerThreshold,
-			BreakerCooldown:  opts.LLMBreakerCooldown,
-			MaxInFlight:      opts.LLMMaxInFlight,
-		}
+		coreCfg.Resilience = &resilience.Config{}
 		coreCfg.Degrade = true
 	}
 	pipe, err := core.New(coreCfg)
@@ -214,14 +191,10 @@ func (s *System) AskBatch(ctx context.Context, questions []string, workers int) 
 	return s.pipeline.AskBatch(ctx, questions, workers)
 }
 
-// Query executes raw Cypher against the knowledge graph. Queries run
-// through the prepared-query plan cache: repeated shapes parse once.
-func (s *System) Query(query string, params map[string]any) (*Result, error) {
-	return s.pipeline.Query(query, params)
-}
-
-// QueryContext executes raw Cypher under a cancellation context: when
-// ctx ends, execution aborts early with an error matching ErrCanceled.
+// QueryContext executes raw Cypher against the knowledge graph under a
+// cancellation context: when ctx ends, execution aborts early with an
+// error matching ErrCanceled. Queries run through the prepared-query
+// plan cache: repeated shapes parse once.
 func (s *System) QueryContext(ctx context.Context, query string, params map[string]any) (*Result, error) {
 	return s.pipeline.QueryContext(ctx, query, params)
 }
@@ -238,9 +211,11 @@ func (s *System) QueryStream(ctx context.Context, query string, params map[strin
 
 // Explain returns the access plan a query would use — which node
 // anchors each MATCH and through which path (bound variable, property
-// index, label scan, full scan) — without executing it.
+// index, label scan, full scan) — without executing it. It plans with
+// the pipeline's execution options, so the plan it prints is the one
+// QueryContext would run.
 func (s *System) Explain(query string) (string, error) {
-	return cypher.Explain(s.graph, query, cypher.Options{})
+	return cypher.Explain(s.graph, query, s.pipeline.ExecOptions())
 }
 
 // PlanCacheStats reports the plan cache's hit/miss/eviction counters.
@@ -259,10 +234,11 @@ func (s *System) World() *World { return s.world }
 // (validation-model answers, tracing).
 func (s *System) Pipeline() *core.Pipeline { return s.pipeline }
 
-// SaveGraph snapshots the knowledge graph to a file.
+// SaveGraph snapshots the knowledge graph to a file in the columnar
+// IYPCOL1 format.
 func (s *System) SaveGraph(path string) error { return s.graph.SaveFile(path) }
 
-// LoadGraph restores a knowledge graph snapshot.
+// LoadGraph restores a knowledge graph from an IYPCOL1 snapshot.
 func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
 
 // SchemaText returns the IYP schema card shown to the language model.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestNewAndAsk(t *testing.T) {
 
 func TestQueryFacade(t *testing.T) {
 	sys := smallSystem(t)
-	res, err := sys.Query("MATCH (a:AS) RETURN count(a)", nil)
+	res, err := sys.QueryContext(context.Background(), "MATCH (a:AS) RETURN count(a)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestHTTPHandlerFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/health", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("health status = %d", rec.Code)
 	}
@@ -99,6 +100,29 @@ func TestBenchmarkAndEvaluateFacade(t *testing.T) {
 	}
 	if len(rep.Records) != len(bench.Questions) {
 		t.Errorf("records = %d", len(rep.Records))
+	}
+}
+
+// TestExplainFollowsPipelineOptions: Explain plans with the options the
+// pipeline executes with, so a pipeline pinned to one worker never
+// prints a parallel scan it would not run.
+func TestExplainFollowsPipelineOptions(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	sys := smallSystem(t)
+	const scan = "MATCH (p:Prefix) RETURN count(p)"
+	plan, err := sys.Explain(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "parallel scan") {
+		t.Fatalf("at GOMAXPROCS 2 the prefix scan should plan parallel:\n%s", plan)
+	}
+	sys.Pipeline().SetMaxParallelism(1)
+	if plan, err = sys.Explain(scan); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(plan, "parallel scan") {
+		t.Errorf("pipeline pinned to one worker, yet Explain prints a parallel scan:\n%s", plan)
 	}
 }
 
@@ -181,7 +205,7 @@ func TestQueryStreamFacade(t *testing.T) {
 		}
 		n++
 	}
-	res, err := sys.Query("MATCH (a:AS) RETURN count(a)", nil)
+	res, err := sys.QueryContext(context.Background(), "MATCH (a:AS) RETURN count(a)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Command chatiyp-server runs the ChatIYP web application: the
 // versioned /v1/ API (ask, batch ask, Cypher over JSON / paginated
 // JSON / streaming NDJSON, explain, schema, stats, metrics — see
-// docs/API.md), the deprecated /api/* shims, and the embedded
-// single-page UI, mirroring the paper's public deployment.
+// docs/API.md) and the embedded single-page UI, mirroring the paper's
+// public deployment.
 //
 // Usage:
 //
@@ -37,7 +37,7 @@ func main() {
 		maxConcurrent = flag.Int("max-concurrent", 0, "max concurrently executing ask/cypher requests (0 = 2x GOMAXPROCS)")
 		maxQueue      = flag.Int("max-queue", 0, "max requests waiting for a slot before 429 (0 = 4x max-concurrent, negative disables queueing)")
 		askTimeout    = flag.Duration("ask-timeout", 0, "per-question deadline, aborts execution (0 = 15s default)")
-		cypherTimeout = flag.Duration("cypher-timeout", 0, "per-query deadline on /api/cypher (0 = 10s default)")
+		cypherTimeout = flag.Duration("cypher-timeout", 0, "per-query deadline on /v1/cypher (0 = 10s default)")
 		drainTimeout  = flag.Duration("drain-timeout", 0, "graceful-shutdown budget for in-flight requests (0 = 5s default)")
 		maxPar        = flag.Int("max-parallelism", 0, "max morsel workers per query (0 = GOMAXPROCS, 1 = serial execution)")
 		annRetr       = flag.Bool("ann-retrieval", false, "serve vector retrieval from the approximate HNSW index instead of the exact scan")
@@ -47,16 +47,8 @@ func main() {
 		fsyncMode     = flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
 		fsyncEvery    = flag.Duration("fsync-interval", 100*time.Millisecond, "fsync timer period for -fsync=interval")
 		ckptBytes     = flag.Int64("checkpoint-bytes", 64<<20, "auto-checkpoint once the WAL exceeds this size (0 disables)")
-		sessionTTL    = flag.Duration("session-ttl", 0, "agent tool-session idle TTL (0 = 10m default)")
-		maxSessions   = flag.Int("max-sessions", 0, "max live agent tool sessions before LRU eviction (0 = 1024 default)")
-		sessionRate   = flag.Float64("session-rate", 0, "per-session tool calls per second (0 = 10/s default, negative disables)")
-		sessionBurst  = flag.Int("session-burst", 0, "per-session tool-call burst (0 = 20 default)")
-		sessionTokens = flag.Int("session-tokens", 0, "per-session LLM token budget (0 = unlimited)")
-		llmTimeout    = flag.Duration("llm-timeout", 0, "per-model-call deadline (0 = 10s default, negative disables)")
 		llmRetries    = flag.Int("llm-retries", 0, "retries per failed model call, jittered backoff (0 = 2 default, negative disables)")
-		llmBrkThr     = flag.Int("llm-breaker-threshold", 0, "consecutive model failures that open a task's circuit breaker (0 = 5 default, negative disables breakers)")
 		llmBrkCool    = flag.Duration("llm-breaker-cooldown", 0, "open-breaker cooldown before half-open probing (0 = 5s default)")
-		llmBulkhead   = flag.Int("llm-bulkhead", 0, "max concurrent model calls (0 = 256 default, negative uncapped)")
 		noResilience  = flag.Bool("no-llm-resilience", false, "disable the LLM resilience layer (no retries, breakers, or degraded answers)")
 		llmFaults     = flag.String("llm-faults", "", `inject deterministic model faults for chaos testing, e.g. "down" or "all=error:0.3"`)
 	)
@@ -102,27 +94,19 @@ func main() {
 
 	var pipe *core.Pipeline = sys.Pipeline()
 	srv, err := server.New(server.Config{
-		Pipeline:            pipe,
-		Logger:              logger,
-		MaxConcurrent:       *maxConcurrent,
-		MaxQueue:            *maxQueue,
-		AskTimeout:          *askTimeout,
-		CypherTimeout:       *cypherTimeout,
-		DrainTimeout:        *drainTimeout,
-		MaxParallelism:      *maxPar,
-		SemCacheThreshold:   *semThr,
-		SemCacheSize:        *semSize,
-		SessionTTL:          *sessionTTL,
-		MaxSessions:         *maxSessions,
-		SessionRatePerSec:   *sessionRate,
-		SessionRateBurst:    *sessionBurst,
-		SessionTokenBudget:  *sessionTokens,
-		LLMTimeout:          *llmTimeout,
-		LLMRetries:          *llmRetries,
-		LLMBreakerThreshold: *llmBrkThr,
-		LLMBreakerCooldown:  *llmBrkCool,
-		LLMMaxInFlight:      *llmBulkhead,
-		DisableResilience:   *noResilience,
+		Pipeline:           pipe,
+		Logger:             logger,
+		MaxConcurrent:      *maxConcurrent,
+		MaxQueue:           *maxQueue,
+		AskTimeout:         *askTimeout,
+		CypherTimeout:      *cypherTimeout,
+		DrainTimeout:       *drainTimeout,
+		MaxParallelism:     *maxPar,
+		SemCacheThreshold:  *semThr,
+		SemCacheSize:       *semSize,
+		LLMRetries:         *llmRetries,
+		LLMBreakerCooldown: *llmBrkCool,
+		DisableResilience:  *noResilience,
 	})
 	if err != nil {
 		logger.Fatal(err)

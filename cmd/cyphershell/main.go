@@ -8,7 +8,7 @@
 //
 //	cyphershell
 //	cyphershell -c "MATCH (a:AS {asn: 2497}) RETURN a"
-//	cyphershell -graph snapshot.bin
+//	cyphershell -graph snapshot.iypc
 //	cyphershell -server http://localhost:8080
 //	cyphershell -server http://localhost:8080 -session   # results become handles
 package main

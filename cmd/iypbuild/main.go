@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	iypbuild -out iyp.graph
+//	iypbuild -out iyp.iypc
 //	iypbuild -ases 1000 -seed 7 -bench bench.json
 package main
 
@@ -20,8 +20,7 @@ import (
 
 func main() {
 	var (
-		out      = flag.String("out", "", "write the graph snapshot (legacy gob format) to this path")
-		colOut   = flag.String("columnar", "", "write the mmap-able columnar snapshot to this path")
+		out      = flag.String("out", "", "write the mmap-able columnar graph snapshot to this path")
 		dataDir  = flag.String("data-dir", "", "initialize a server data directory (columnar base + empty WAL) from the built graph")
 		jsonlOut = flag.String("jsonl", "", "export the graph as JSON lines (IYP-dump-style) to this path")
 		benchOut = flag.String("bench", "", "also generate the benchmark and write it to this JSON path")
@@ -64,13 +63,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("graph snapshot written to %s\n", *out)
-	}
-	if *colOut != "" {
-		if err := g.SaveColumnarFile(*colOut); err != nil {
-			fmt.Fprintln(os.Stderr, "iypbuild: saving columnar snapshot:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("columnar snapshot written to %s\n", *colOut)
 	}
 	if *dataDir != "" {
 		if err := persist.Init(*dataDir, g); err != nil {

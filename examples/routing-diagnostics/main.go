@@ -59,7 +59,7 @@ func main() {
 
 	// Cross-check through the expert path: the origin reported in
 	// natural language must match a direct graph query.
-	res, err := sys.Query(
+	res, err := sys.QueryContext(context.Background(),
 		"MATCH (a:AS)-[:ORIGINATE]->(:Prefix {prefix: $p}) RETURN a.asn",
 		map[string]any{"p": subject.Prefix})
 	if err != nil {

@@ -432,7 +432,7 @@ func (s *Service) runCypher(ctx context.Context, raw json.RawMessage, sess *Sess
 	res := &api.RunCypherResult{
 		Columns:   cols,
 		TotalRows: len(rows),
-		Stats:     wireStats(st.Stats()),
+		Stats:     WireStats(st.Stats()),
 		Truncated: st.Truncated(),
 	}
 	if sink == nil {
@@ -494,7 +494,7 @@ func (s *Service) ask(ctx context.Context, raw json.RawMessage, sess *Session) (
 	}
 	summary := fmt.Sprintf("ask %q", q)
 	tokens := ans.TokensIn + ans.TokensOut
-	return &api.ToolCallResult{Ask: wireAnswer(ans)}, h, summary, tokens, nil
+	return &api.ToolCallResult{Ask: WireAnswer(ans)}, h, summary, tokens, nil
 }
 
 // execError classifies an execution failure onto the stable code
@@ -524,9 +524,9 @@ func (s *Service) execError(err error) error {
 	return &Error{Code: code, RPC: api.RPCToolError, Message: err.Error()}
 }
 
-// wireAnswer converts a pipeline answer to the shared wire shape (the
-// same mapping internal/server applies on /v1/ask).
-func wireAnswer(ans *core.Answer) *api.AskResponse {
+// WireAnswer converts a pipeline answer to its wire shape, as /v1/ask
+// and the ask tool both return it.
+func WireAnswer(ans *core.Answer) *api.AskResponse {
 	resp := &api.AskResponse{
 		Question:       ans.Question,
 		Answer:         ans.Text,
@@ -552,8 +552,8 @@ func wireAnswer(ans *core.Answer) *api.AskResponse {
 	return resp
 }
 
-// wireStats converts engine write statistics to the wire shape.
-func wireStats(s cypher.WriteStats) api.WriteStats {
+// WireStats converts engine write statistics to the wire shape.
+func WireStats(s cypher.WriteStats) api.WriteStats {
 	return api.WriteStats{
 		NodesCreated:         s.NodesCreated,
 		NodesDeleted:         s.NodesDeleted,

@@ -20,14 +20,14 @@ func TestDecodeCursorRejectsGarbage(t *testing.T) {
 	for _, s := range []string{
 		"",
 		"not base64 !!!",
-		EncodeCursor(Cursor{QueryHash: "", Version: 1, Offset: 0}),   // empty hash
-		"djE6YWJjOjE",         // too few fields
-		"djI6YWJjOjE6MA",      // wrong prefix (v2)
-		"djE6YWJjOi0xOjA",     // negative version
-		"djE6YWJjOjE6LTU",     // negative offset
-		"djE6YWJjOjE6eA",      // non-numeric offset
+		EncodeCursor(Cursor{QueryHash: "", Version: 1, Offset: 0}), // empty hash
+		"djE6YWJjOjE",     // too few fields
+		"djI6YWJjOjE6MA",  // wrong prefix (v2)
+		"djE6YWJjOi0xOjA", // negative version
+		"djE6YWJjOjE6LTU", // negative offset
+		"djE6YWJjOjE6eA",  // non-numeric offset
 		EncodeCursor(Cursor{QueryHash: "abc", Version: 1, Offset: MaxCursorOffset + 1}), // forged huge offset
-		"djE6YWJjOjE6OTIyMzM3MjAzNjg1NDc3NTgwNw", // offset 2^63-1: would overflow pagination arithmetic
+		"djE6YWJjOjE6OTIyMzM3MjAzNjg1NDc3NTgwNw",                                        // offset 2^63-1: would overflow pagination arithmetic
 	} {
 		if _, err := DecodeCursor(s); !errors.Is(err, ErrBadCursor) {
 			t.Errorf("DecodeCursor(%q) err = %v, want ErrBadCursor", s, err)

@@ -763,19 +763,12 @@ func (p *Pipeline) QueryContext(ctx context.Context, query string, params map[st
 	return p.execCypherOpts(ctx, query, params, p.cfg.ExecOptions)
 }
 
-// Query executes raw Cypher without a cancellation context.
-//
-// Deprecated: use QueryContext so server deadlines can stop the scan.
-func (p *Pipeline) Query(query string, params map[string]any) (*cypher.Result, error) {
-	return p.QueryContext(context.Background(), query, params)
-}
-
 // QueryLimitedContext executes raw Cypher with a result-row cap layered
 // over the pipeline's execution options: the streaming executor stops
 // pulling once rowLimit rows are produced and sets Result.Truncated
 // instead of erroring. A configured Config.ExecOptions.RowLimit that
 // is tighter wins; rowLimit <= 0 means no extra cap. This is the
-// entry point internal/server uses for POST /api/cypher, so one user
+// entry point internal/server uses for POST /v1/cypher, so one user
 // query cannot hold a worker for an unbounded scan — and with ctx
 // carrying the endpoint deadline, not even for the capped one.
 func (p *Pipeline) QueryLimitedContext(ctx context.Context, query string, params map[string]any, rowLimit int) (*cypher.Result, error) {
@@ -784,15 +777,6 @@ func (p *Pipeline) QueryLimitedContext(ctx context.Context, query string, params
 		opts.RowLimit = rowLimit
 	}
 	return p.execCypherOpts(ctx, query, params, opts)
-}
-
-// QueryLimited executes raw Cypher with a row cap and no cancellation
-// context.
-//
-// Deprecated: use QueryLimitedContext so server deadlines can stop the
-// scan.
-func (p *Pipeline) QueryLimited(query string, params map[string]any, rowLimit int) (*cypher.Result, error) {
-	return p.QueryLimitedContext(context.Background(), query, params, rowLimit)
 }
 
 // QueryStreamContext executes raw Cypher and returns a pull iterator

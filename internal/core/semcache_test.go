@@ -285,8 +285,7 @@ func TestANNRetrievalFallback(t *testing.T) {
 // BenchmarkSemCacheAsk measures the full Ask path cold (no semantic
 // cache: translate, execute, generate every time) against warm (cache
 // enabled and pre-seeded: embed the question, probe the ANN index,
-// serve the stamped answer). benchjson derives the cold_over_warm_ask
-// speedup from the pair.
+// serve the stamped answer).
 func BenchmarkSemCacheAsk(b *testing.B) {
 	const q = "Which country code is AS2497 registered in?"
 	b.Run("cold", func(b *testing.B) {

@@ -48,7 +48,7 @@ const (
 )
 
 // Cumulative counters of the parallel executor, mirrored into
-// /api/metrics by core.Pipeline.
+// /v1/metrics by core.Pipeline.
 var (
 	parallelQueriesTotal   atomic.Int64
 	morselsDispatchedTotal atomic.Int64

@@ -10,9 +10,8 @@ import (
 
 // Benchmarks for the morsel-driven parallel executor: each family runs
 // a serial baseline plus forced-parallel variants at 1/2/4/8 workers
-// over the same prepared query, so BENCH_parallel.json (written by
-// scripts/bench_parallel.sh) tracks both the scaling curve and the
-// 1-worker overhead against serial. Results are bounded by num_cpu —
+// over the same prepared query, so one run shows both the scaling curve
+// and the 1-worker overhead against serial. Results are bounded by num_cpu —
 // on a 1-core machine every worker count collapses to ~serial speed.
 
 // parallelBenchGraph builds a seeded scan/expand workload: n :V nodes

@@ -114,7 +114,7 @@ func executeQueryStream(ctx context.Context, g *graph.Graph, q *Query, plan *que
 		// long-lived cursor page or NDJSON response then reads one
 		// consistent graph epoch for its entire lifetime, no matter how
 		// many writes land while rows trickle out.
-		se: &streamExec{ctx: &evalCtx{g: g, r: g.View(), params: normParams, opts: opts, plan: plan, ctx: ctx}},
+		se:        &streamExec{ctx: &evalCtx{g: g, r: g.View(), params: normParams, opts: opts, plan: plan, ctx: ctx}},
 		parts:     plan.parts,
 		lastDedup: plan.lastDedup,
 		rowLimit:  opts.RowLimit,

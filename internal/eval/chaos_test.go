@@ -92,8 +92,8 @@ func TestChaosReplayDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkChaosReplay is the CI entry point: one full replay whose
-// contract metrics land in CHAOS.json via cmd/benchjson.
+// BenchmarkChaosReplay times one full replay and reports its contract
+// metrics; it fails when the contract does.
 func BenchmarkChaosReplay(b *testing.B) {
 	exp := chaosExperiment(b)
 	for i := 0; i < b.N; i++ {

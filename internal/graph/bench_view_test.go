@@ -10,8 +10,7 @@ import (
 
 // Benchmarks for the graph read path: per-hop expansion cost on the
 // locked live graph vs the lock-free snapshot view, and multi-core
-// read-throughput scaling (the numbers scripts/bench_graph.sh turns
-// into BENCH_graph.json).
+// read-throughput scaling.
 //
 // The headline claims: typed single-hop expansion through a View is
 // allocation-free in the steady state, and concurrent read-only
@@ -157,8 +156,8 @@ func BenchmarkViewPin(b *testing.B) {
 // BenchmarkConcurrentTraversal measures read-only traversal throughput
 // as goroutines grow: each op is a fixed two-hop typed expansion, b.N
 // ops are split across k workers, so ns/op is wall-clock per op and
-// scaling appears as ns/op dropping with k (bounded by num_cpu in
-// BENCH_graph.json). The locked variant serializes on the global
+// scaling appears as ns/op dropping with k (bounded by the core
+// count). The locked variant serializes on the global
 // RWMutex and allocates per hop; the view variant shares one immutable
 // epoch.
 func BenchmarkConcurrentTraversal(b *testing.B) {

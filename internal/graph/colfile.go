@@ -12,7 +12,7 @@ package graph
 // endpoints, adjacency, index postings) and all strings are aliased
 // directly out of the mapping with zero copying, the epoch is
 // constructed around those aliases, and the first View pin is already
-// satisfied — no gob reflection, no per-value boxing, no re-sorting,
+// satisfied — no reflection, no per-value boxing, no re-sorting,
 // no index rebuilds.
 //
 // Every multi-byte scalar is written in the platform's native byte
@@ -116,7 +116,7 @@ type ColLoadOptions struct {
 }
 
 // lastLoadNanos records the wall time of the most recent snapshot load
-// in this process (gob or columnar), surfaced as graph.load_ns.
+// in this process, surfaced as graph.load_ns.
 var lastLoadNanos atomic.Int64
 
 // RecordLoadNanos stores the duration of a snapshot load for the
@@ -126,8 +126,7 @@ func RecordLoadNanos(ns int64) { lastLoadNanos.Store(ns) }
 // LastLoadNanos returns the duration of the most recent snapshot load.
 func LastLoadNanos() int64 { return lastLoadNanos.Load() }
 
-// SniffColumnar reports whether b begins with the columnar magic. Gob
-// streams never do, so LoadFile can dispatch on the first 8 bytes.
+// SniffColumnar reports whether b begins with the columnar magic.
 func SniffColumnar(b []byte) bool {
 	return len(b) >= len(colMagic) && string(b[:len(colMagic)]) == colMagic
 }

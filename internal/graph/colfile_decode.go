@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"maps"
 	"math"
+	"os"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -55,6 +56,22 @@ func (s *colStrings) get(i uint32) string {
 		return ""
 	}
 	return unsafe.String(&s.blob[start], int(end-start))
+}
+
+// LoadFile reads a columnar snapshot from path. Every checksum is
+// verified: LoadFile accepts arbitrary input.
+func LoadFile(path string) (*Graph, error) {
+	start := time.Now()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	g, _, err := LoadColumnarBytes(data, ColLoadOptions{VerifyChecksums: true})
+	if err != nil {
+		return nil, err
+	}
+	RecordLoadNanos(time.Since(start).Nanoseconds())
+	return g, nil
 }
 
 // LoadColumnarBytes reconstructs a graph from a columnar snapshot held
@@ -474,11 +491,11 @@ func (g *Graph) hydrateLocked() {
 
 // parseColDirectory validates the header and section directory.
 func parseColDirectory(data []byte, opts ColLoadOptions) (map[uint32]colSection, error) {
+	if !SniffColumnar(data) {
+		return nil, colErrf("bad magic: not an IYPCOL1 snapshot")
+	}
 	if len(data) < colHeaderSize {
 		return nil, colErrf("file too short for header (%d bytes)", len(data))
-	}
-	if !SniffColumnar(data) {
-		return nil, colErrf("bad magic")
 	}
 	if v := binary.NativeEndian.Uint32(data[8:]); v != colFormatVersion {
 		return nil, colErrf("unsupported format version %d", v)

@@ -417,19 +417,13 @@ func headerCRCOf(hdr []byte) uint32 {
 	return crc32.Update(crc, colCRC, hdr[36:])
 }
 
-// WriteColumnarFile writes the pinned epoch to path as a columnar
-// snapshot, creating or truncating it.
-func (v *View) WriteColumnarFile(path string, meta ColMeta) error {
-	data, err := v.MarshalColumnar(meta)
+// SaveFile writes the graph's current state to path as a columnar
+// snapshot, creating or truncating it. It encodes from a pinned View, so
+// concurrent writers are not blocked while it runs.
+func (g *Graph) SaveFile(path string) error {
+	data, err := g.View().MarshalColumnar(ColMeta{})
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// SaveColumnarFile writes the graph's current state to path in the
-// columnar snapshot format (the mmap-able fast-load counterpart of
-// SaveFile).
-func (g *Graph) SaveColumnarFile(path string) error {
-	return g.View().WriteColumnarFile(path, ColMeta{})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -195,29 +196,34 @@ func TestColumnarDeterministic(t *testing.T) {
 	}
 }
 
-func TestColumnarGobChain(t *testing.T) {
-	// Satellite 1: graph -> gob -> graph -> columnar -> graph stays
-	// equivalent, and LoadFile auto-detects both formats.
+func TestColumnarFileChain(t *testing.T) {
+	// graph -> file -> graph -> file -> graph stays equivalent, and the
+	// second file is byte-identical to the first.
 	g := colTestGraph(t)
 	dir := t.TempDir()
-	gobPath := filepath.Join(dir, "g.gob")
-	colPath := filepath.Join(dir, "g.iypc")
-	if err := g.SaveFile(gobPath); err != nil {
+	path1 := filepath.Join(dir, "g1.iypc")
+	path2 := filepath.Join(dir, "g2.iypc")
+	if err := g.SaveFile(path1); err != nil {
 		t.Fatal(err)
 	}
-	fromGob, err := LoadFile(gobPath)
+	first, err := LoadFile(path1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertGraphsEquivalent(t, g, fromGob)
-	if err := fromGob.SaveColumnarFile(colPath); err != nil {
+	assertGraphsEquivalent(t, g, first)
+	if err := first.SaveFile(path2); err != nil {
 		t.Fatal(err)
 	}
-	fromCol, err := LoadFile(colPath)
+	second, err := LoadFile(path2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertGraphsEquivalent(t, g, fromCol)
+	assertGraphsEquivalent(t, g, second)
+	b1, _ := os.ReadFile(path1)
+	b2, _ := os.ReadFile(path2)
+	if !bytes.Equal(b1, b2) {
+		t.Error("save/load/save changed the file bytes")
+	}
 	if LastLoadNanos() <= 0 {
 		t.Fatal("LoadFile did not record graph.load_ns")
 	}

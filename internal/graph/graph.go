@@ -151,19 +151,19 @@ type Graph struct {
 	// Lock-free read path (see view.go): the last published immutable
 	// epoch, the dirty sets accumulated since it was built, and the
 	// snapshot observability counters.
-	published         atomic.Pointer[readState]
-	dirtyNodes        map[int64]struct{} // created/deleted/relabeled/reproped nodes
-	dirtyRels         map[int64]struct{} // created/deleted/reproped rels
-	dirtyAdj          map[int64]struct{} // nodes whose adjacency (or incident rel copies) changed
-	relTypeCount map[string]int // live rels per type; keeps RelationshipTypes and epoch builds O(#types)
+	published    atomic.Pointer[readState]
+	dirtyNodes   map[int64]struct{} // created/deleted/relabeled/reproped nodes
+	dirtyRels    map[int64]struct{} // created/deleted/reproped rels
+	dirtyAdj     map[int64]struct{} // nodes whose adjacency (or incident rel copies) changed
+	relTypeCount map[string]int     // live rels per type; keeps RelationshipTypes and epoch builds O(#types)
 	// labelsDirty and indexDirty are deliberately coarse: one flag per
 	// table, so the next publish rebuilds that whole table (O(labeled
 	// nodes) / O(index size)) rather than tracking per-bucket churn.
 	// See the CONCURRENCY.md cost model; batch indexed writes on huge
 	// graphs.
-	labelsDirty   bool
-	relTypesDirty bool
-	indexDirty    bool
+	labelsDirty       bool
+	relTypesDirty     bool
+	indexDirty        bool
 	viewPins          atomic.Int64
 	snapshotPublishes atomic.Int64
 

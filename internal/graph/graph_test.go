@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -244,11 +247,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	b := g.MustCreateNode([]string{"Country"}, map[string]any{"country_code": "JP"})
 	g.MustCreateRelationship(a.ID, b.ID, "COUNTRY", map[string]any{"reference_org": "NRO"})
 
-	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "graph.iypc")
+	if err := g.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadSnapshot(&buf)
+	g2, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +283,35 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// gobSnapshotHeader is how a snapshot file written by older releases
+// began: a gob stream whose first message defines the snapshot struct.
+var gobSnapshotHeader = []byte("\\\x7f\x03\x01\x01\bsnapshot\x01\xff\x80\x00\x01\x06\x01\aVersion\x01\x04\x00\x01\bNextNode\x01\x04\x00")
+
+// TestSnapshotRejectsGarbage: LoadFile reads only IYPCOL1 snapshots, so
+// anything else — including the JSONL interchange format and the gob
+// stream older releases wrote — is a clean error, never a panic.
 func TestSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := ReadSnapshot(bytes.NewReader([]byte("not a snapshot"))); err == nil {
-		t.Error("garbage accepted")
+	g := New()
+	g.MustCreateNode([]string{"AS"}, map[string]any{"asn": 1})
+	var jsonl bytes.Buffer
+	if err := g.WriteJSONLines(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"garbage": []byte("not a snapshot"),
+		"empty":   nil,
+		"jsonl":   jsonl.Bytes(),
+		"gob":     gobSnapshotHeader,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadFile(path)
+		if err == nil || !strings.Contains(err.Error(), "not an IYPCOL1 snapshot") {
+			t.Errorf("%s: LoadFile error = %v, want a not-an-IYPCOL1-snapshot error", name, err)
+		}
 	}
 }
 
@@ -545,9 +574,16 @@ func TestForEachEarlyStop(t *testing.T) {
 func TestSaveLoadFile(t *testing.T) {
 	g := New()
 	g.MustCreateNode([]string{"AS"}, map[string]any{"asn": 1})
-	path := t.TempDir() + "/graph.bin"
+	path := t.TempDir() + "/graph.iypc"
 	if err := g.SaveFile(path); err != nil {
 		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !SniffColumnar(data) {
+		t.Fatalf("SaveFile did not write IYPCOL1: %q", data[:min(8, len(data))])
 	}
 	g2, err := LoadFile(path)
 	if err != nil {

@@ -5,7 +5,7 @@
 //
 // It also provides the runtime Counter/Registry the serving path
 // reports into (questions asked, Cypher executions, plan-cache hits and
-// misses); the server exposes a snapshot at /api/metrics.
+// misses); the server exposes a snapshot at /v1/metrics.
 package metrics
 
 import (

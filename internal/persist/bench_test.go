@@ -14,8 +14,7 @@ import (
 )
 
 // benchTargetEntities picks the dataset scale: the full 1M-entity world
-// for real runs (scripts/bench_persist.sh), a small one under -short so
-// the 1-core CI runner stays fast.
+// by default, a small one under -short so the CI runner stays fast.
 func benchTargetEntities() int {
 	if testing.Short() {
 		return 60_000
@@ -25,7 +24,6 @@ func benchTargetEntities() int {
 
 type benchFixture struct {
 	dir      string
-	gobPath  string
 	colPath  string
 	entities int
 	err      error
@@ -37,8 +35,8 @@ var (
 )
 
 // getFixture builds the scaled world once per target size and caches
-// the gob + columnar snapshots in the system temp dir, so repeated
-// bench runs skip the (slow) generation step.
+// its columnar snapshot in the system temp dir, so repeated bench runs
+// skip the (slow) generation step.
 func getFixture(b *testing.B) *benchFixture {
 	b.Helper()
 	fixtureOnce.Do(func() {
@@ -46,7 +44,6 @@ func getFixture(b *testing.B) *benchFixture {
 		dir := filepath.Join(os.TempDir(), fmt.Sprintf("chatiyp-persist-bench-%d", target))
 		fx := benchFixture{
 			dir:     dir,
-			gobPath: filepath.Join(dir, "world.gob"),
 			colPath: filepath.Join(dir, "world.iypc"),
 		}
 		marker := filepath.Join(dir, "ready")
@@ -70,9 +67,7 @@ func getFixture(b *testing.B) *benchFixture {
 		}
 		s := g.CollectStats()
 		fx.entities = s.Nodes + s.Relationships
-		if err := g.SaveFile(fx.gobPath); err != nil {
-			fx.err = err
-		} else if err := g.SaveColumnarFile(fx.colPath); err != nil {
+		if err := g.SaveFile(fx.colPath); err != nil {
 			fx.err = err
 		} else {
 			fx.err = os.WriteFile(marker, []byte(fmt.Sprintf("%d", fx.entities)), 0o644)
@@ -85,23 +80,10 @@ func getFixture(b *testing.B) *benchFixture {
 	return &fixture
 }
 
-// BenchmarkColdStart measures time-to-queryable for the same world
-// through both snapshot formats: full gob parse vs mmap + validate +
-// publish. benchjson derives the gob_over_columnar speedup.
+// BenchmarkColdStart measures time-to-queryable for the scaled world
+// from its columnar snapshot: mmap + validate + publish.
 func BenchmarkColdStart(b *testing.B) {
 	fx := getFixture(b)
-	b.Run("gob", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g, err := graph.LoadFile(fx.gobPath)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if g.NodeCount() == 0 {
-				b.Fatal("empty graph")
-			}
-		}
-		b.ReportMetric(float64(fx.entities), "entities")
-	})
 	b.Run("columnar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m, err := mmap.Open(fx.colPath)

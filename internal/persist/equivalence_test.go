@@ -52,28 +52,18 @@ func corpusFingerprint(tb testing.TB, g *graph.Graph, corpus []string) string {
 }
 
 // TestPersistedFormsAnswerIdentically is the acceptance gate for the
-// persistence tier: the same world loaded through the legacy gob
-// snapshot, the columnar snapshot, and a WAL replay must produce
-// bit-identical answers to the whole corpus.
+// persistence tier: the same world loaded through the columnar snapshot
+// and through a WAL replay must produce bit-identical answers to the
+// whole corpus.
 func TestPersistedFormsAnswerIdentically(t *testing.T) {
 	g0, w := iyp.MustBuild(iyp.SmallConfig())
 	corpus := equivalenceCorpus(w)
 	want := corpusFingerprint(t, g0, corpus)
 	dir := t.TempDir()
 
-	// Form 1: legacy gob, via the auto-detecting LoadFile.
-	gobPath := filepath.Join(dir, "world.gob")
-	if err := g0.SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
-	gGob, err := graph.LoadFile(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Form 2: columnar, via the auto-detecting LoadFile.
+	// Form 1: the columnar snapshot file.
 	colPath := filepath.Join(dir, "world.iypc")
-	if err := g0.SaveColumnarFile(colPath); err != nil {
+	if err := g0.SaveFile(colPath); err != nil {
 		t.Fatal(err)
 	}
 	gCol, err := graph.LoadFile(colPath)
@@ -81,7 +71,7 @@ func TestPersistedFormsAnswerIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Form 3: WAL replay — start a store from the columnar base, apply
+	// Form 2: WAL replay — start a store from the columnar base, apply
 	// writes, crash, reopen.
 	pdir := filepath.Join(dir, "store")
 	if err := Init(pdir, g0); err != nil {
@@ -110,22 +100,17 @@ func TestPersistedFormsAnswerIdentically(t *testing.T) {
 		t.Error("post-replay: corpus fingerprint diverges from pre-crash graph")
 	}
 
-	for name, g := range map[string]*graph.Graph{
-		"gob":      gGob,
-		"columnar": gCol,
-	} {
-		if msgs := g.CheckIntegrity(); len(msgs) != 0 {
-			t.Fatalf("%s: integrity: %v", name, msgs)
-		}
-		if got := corpusFingerprint(t, g, corpus); got != want {
-			t.Errorf("%s: corpus fingerprint diverges from in-memory build\n got %d bytes\nwant %d bytes", name, len(got), len(want))
-		}
+	if msgs := gCol.CheckIntegrity(); len(msgs) != 0 {
+		t.Fatalf("columnar: integrity: %v", msgs)
+	}
+	if got := corpusFingerprint(t, gCol, corpus); got != want {
+		t.Errorf("columnar: corpus fingerprint diverges from in-memory build\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 
-	// The two snapshot files must themselves be stable artifacts:
-	// re-saving the loaded columnar graph reproduces identical bytes.
+	// The snapshot file must itself be a stable artifact: re-saving the
+	// loaded graph reproduces identical bytes.
 	colPath2 := filepath.Join(dir, "world2.iypc")
-	if err := gCol.SaveColumnarFile(colPath2); err != nil {
+	if err := gCol.SaveFile(colPath2); err != nil {
 		t.Fatal(err)
 	}
 	b1, _ := os.ReadFile(colPath)

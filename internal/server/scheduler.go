@@ -22,7 +22,7 @@ import (
 // in-flight ones have released their slots.
 //
 // The scheduler reports live levels and event counts into the metrics
-// registry the server shares with its pipeline, so /api/metrics shows
+// registry the server shares with its pipeline, so /v1/metrics shows
 // saturation as it happens:
 //
 //	server.inflight        gauge  requests currently executing

@@ -4,8 +4,6 @@
 // transparency), raw Cypher with streaming NDJSON and cursor-paginated
 // JSON transports, EXPLAIN, batch ask, schema and graph-statistics
 // endpoints, a runtime-metrics endpoint, and a minimal embedded UI.
-// The pre-versioning /api/* routes remain as deprecated shims with
-// their original response shapes.
 //
 // Every /v1/ error answers with the uniform envelope defined in
 // internal/api: {"error": {"code", "message", "retry_after?",
@@ -31,8 +29,6 @@ import (
 	"chatiyp/internal/agent"
 	"chatiyp/internal/api"
 	"chatiyp/internal/core"
-	"chatiyp/internal/cypher"
-	"chatiyp/internal/graph"
 	"chatiyp/internal/iyp"
 	"chatiyp/internal/metrics"
 	"chatiyp/internal/resilience"
@@ -47,14 +43,14 @@ type Config struct {
 	// cancellation checks stop in-flight scans, and the handler
 	// answers 504 with the timeout error shape.
 	AskTimeout time.Duration
-	// CypherTimeout bounds one POST /api/cypher execution (default
+	// CypherTimeout bounds one POST /v1/cypher execution (default
 	// 10s), with the same abort semantics as AskTimeout.
 	CypherTimeout time.Duration
 	// Logger receives request logs; nil disables logging.
 	Logger *log.Logger
 	// MaxQuestionLen rejects oversized inputs (default 1024 bytes).
 	MaxQuestionLen int
-	// CypherRowLimit caps the rows one POST /api/cypher query may
+	// CypherRowLimit caps the rows one POST /v1/cypher query may
 	// return; the streaming executor stops the scan at the cap and the
 	// response carries "truncated": true instead of an error, so a
 	// user query cannot hold a worker for an unbounded scan. Zero
@@ -64,7 +60,7 @@ type Config struct {
 	// oversized bodies get 413 with a JSON error. Zero means
 	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// MaxConcurrent caps how many /api/ask and /api/cypher requests
+	// MaxConcurrent caps how many /v1/ask and /v1/cypher requests
 	// execute at once (the expensive endpoints share one scheduler).
 	// Zero means 2×GOMAXPROCS.
 	MaxConcurrent int
@@ -111,18 +107,12 @@ type Config struct {
 	// SessionTTL is the idle TTL of agent tool sessions (0 = the agent
 	// default, 10 minutes). Each access slides the window.
 	SessionTTL time.Duration
-	// MaxSessions bounds live agent sessions; past it, creating a
-	// session evicts the least-recently-used one (0 = 1024).
-	MaxSessions int
 	// SessionRatePerSec and SessionRateBurst shape the per-session
 	// token bucket admitting tool calls; exhaustion answers 429 with
 	// Retry-After for that session only. Zero means the agent defaults;
 	// a negative rate disables per-session rate limiting.
 	SessionRatePerSec float64
 	SessionRateBurst  int
-	// SessionTokenBudget caps the LLM tokens one session may spend
-	// across its ask calls (0 = unlimited).
-	SessionTokenBudget int
 	// SessionClock overrides the session store's clock; tests inject it
 	// to drive TTL expiry deterministically. Nil means time.Now.
 	SessionClock func() time.Time
@@ -134,27 +124,19 @@ type Config struct {
 	// assembled from retrieved facts, never 5xx. Zero values take the
 	// resilience package defaults.
 	//
-	// LLMTimeout bounds each model attempt (default 10s; <0 disables).
-	LLMTimeout time.Duration
 	// LLMRetries is how many extra attempts follow a retryable model
 	// failure (default 2; <0 disables retries).
 	LLMRetries int
-	// LLMBreakerThreshold is the consecutive-failure count that opens a
-	// task's circuit breaker (default 5; <0 disables the breaker).
-	LLMBreakerThreshold int
 	// LLMBreakerCooldown is how long an open breaker waits before
 	// probing the backend again (default 5s).
 	LLMBreakerCooldown time.Duration
-	// LLMMaxInFlight caps concurrent model calls (default 256; <0
-	// uncaps).
-	LLMMaxInFlight int
 	// DisableResilience leaves the pipeline's model exactly as
 	// configured — no wrapper, no degradation. Embedders that wrapped
 	// the model themselves (or want failures loud) set this.
 	DisableResilience bool
 }
 
-// DefaultCypherRowLimit is the /api/cypher row cap applied when
+// DefaultCypherRowLimit is the /v1/cypher row cap applied when
 // Config.CypherRowLimit is zero.
 const DefaultCypherRowLimit = 10_000
 
@@ -205,11 +187,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	if !cfg.DisableResilience {
 		cfg.Pipeline.EnableResilience(resilience.Config{
-			Timeout:          cfg.LLMTimeout,
-			Retries:          cfg.LLMRetries,
-			BreakerThreshold: cfg.LLMBreakerThreshold,
-			BreakerCooldown:  cfg.LLMBreakerCooldown,
-			MaxInFlight:      cfg.LLMMaxInFlight,
+			Retries:         cfg.LLMRetries,
+			BreakerCooldown: cfg.LLMBreakerCooldown,
 		}, true)
 	}
 	if cfg.MaxConcurrent <= 0 {
@@ -247,20 +226,18 @@ func New(cfg Config) (*Server, error) {
 		RowCap:   cfg.CypherRowLimit,
 		Metrics:  s.reg,
 		Sessions: agent.StoreConfig{
-			TTL:         cfg.SessionTTL,
-			MaxSessions: cfg.MaxSessions,
-			RatePerSec:  cfg.SessionRatePerSec,
-			RateBurst:   cfg.SessionRateBurst,
-			TokenBudget: cfg.SessionTokenBudget,
-			Now:         cfg.SessionClock,
+			TTL:        cfg.SessionTTL,
+			RatePerSec: cfg.SessionRatePerSec,
+			RateBurst:  cfg.SessionRateBurst,
+			Now:        cfg.SessionClock,
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.agent = agentSvc
-	// v1: the versioned surface. Every error is the uniform envelope.
-	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
+	// Every error is the uniform envelope.
+	s.mux.HandleFunc("GET /v1/health", s.handleHealthLive)
 	s.mux.HandleFunc("GET /v1/health/live", s.handleHealthLive)
 	s.mux.HandleFunc("GET /v1/health/ready", s.handleHealthReady)
 	s.mux.HandleFunc("GET /v1/schema", s.handleSchema)
@@ -271,30 +248,11 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/cypher", s.handleCypherV1)
 	s.mux.HandleFunc("POST /v1/explain", s.handleExplainV1)
 	s.mux.HandleFunc("POST /v1/tools", s.handleToolsV1)
-	// Legacy: deprecated shims keeping the pre-versioning shapes.
-	s.mux.HandleFunc("GET /api/health", s.deprecated(s.handleHealth))
-	s.mux.HandleFunc("GET /api/schema", s.deprecated(s.handleSchema))
-	s.mux.HandleFunc("GET /api/stats", s.deprecated(s.handleStats))
-	s.mux.HandleFunc("GET /api/metrics", s.deprecated(s.handleMetrics))
-	s.mux.HandleFunc("POST /api/ask", s.deprecated(s.handleAsk))
-	s.mux.HandleFunc("POST /api/cypher", s.deprecated(s.handleCypher))
-	s.mux.HandleFunc("POST /api/explain", s.deprecated(s.handleExplain))
 	// The index matches exactly "/"; everything unrouted 404s with the
 	// envelope instead of silently serving the index page.
 	s.mux.HandleFunc("GET /{$}", s.handleIndex)
 	s.mux.HandleFunc("/", s.handleNotFound)
 	return s, nil
-}
-
-// deprecated marks a legacy /api/* response with the standard
-// deprecation headers pointing clients at the /v1/ successor. Bodies
-// are untouched — existing JSON clients keep working byte for byte.
-func (s *Server) deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+strings.TrimPrefix(r.URL.Path, "/api")+">; rel=\"successor-version\"")
-		h(w, r)
-	}
 }
 
 // Handler returns the HTTP handler with logging middleware applied.
@@ -336,7 +294,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	}
 }
 
-// Drain stops admitting /api/ask and /api/cypher requests and waits for
+// Drain stops admitting /v1/ask and /v1/cypher requests and waits for
 // the in-flight ones (bounded by ctx). Exposed for embedders that run
 // their own http.Server around Handler().
 func (s *Server) Drain(ctx context.Context) error { return s.sched.drain(ctx) }
@@ -426,8 +384,8 @@ func requestID(r *http.Request) string {
 // The middleware is also the per-route instrumentation point: after
 // the mux dispatches, r.Pattern names the matched route, and the
 // middleware bumps server.requests{route,status} and observes the
-// request latency into the route's timing summary — so /api/metrics
-// distinguishes v1 from legacy traffic without any per-handler code.
+// request latency into the route's timing summary — so /v1/metrics
+// breaks traffic down by route without any per-handler code.
 func (s *Server) logged(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -479,13 +437,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
 // jsonContentType reports whether the request's declared body type is
 // JSON. An absent Content-Type is accepted (curl-style clients); any
-// other declared type is a 415 on the v1 routes.
+// other declared type is a 415.
 func jsonContentType(r *http.Request) bool {
 	ct := strings.TrimSpace(r.Header.Get("Content-Type"))
 	if ct == "" {
@@ -498,15 +452,12 @@ func jsonContentType(r *http.Request) bool {
 	return ct == "application/json" || ct == "text/json" || strings.HasSuffix(ct, "+json")
 }
 
-// decodeJSON decodes a body bounded by Config.MaxBodyBytes, answering
-// the mode-appropriate error shape: non-JSON Content-Type is 415 (v1
-// routes only — the pre-versioning endpoints never checked the header,
-// and the deprecated shims must keep accepting whatever declared type
-// existing clients send), oversized bodies 413, malformed JSON 400. It
+// decodeJSON decodes a body bounded by Config.MaxBodyBytes: non-JSON
+// Content-Type is 415, oversized bodies 413, malformed JSON 400. It
 // reports whether decoding succeeded.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, v1 bool) bool {
-	if v1 && !jsonContentType(r) {
-		s.httpError(w, r, v1, http.StatusUnsupportedMediaType, api.CodeUnsupportedMedia,
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if !jsonContentType(r) {
+		s.httpError(w, r, http.StatusUnsupportedMediaType, api.CodeUnsupportedMedia,
 			"Content-Type must be application/json", 0)
 		return false
 	}
@@ -516,40 +467,26 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, v1 bo
 	}
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		s.httpError(w, r, v1, http.StatusRequestEntityTooLarge, api.CodeBodyTooLarge,
+		s.httpError(w, r, http.StatusRequestEntityTooLarge, api.CodeBodyTooLarge,
 			fmt.Sprintf("request body exceeds %d bytes", mbe.Limit), 0)
 		return false
 	}
-	s.httpError(w, r, v1, http.StatusBadRequest, api.CodeBadRequest, "invalid JSON body: "+err.Error(), 0)
+	s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest, "invalid JSON body: "+err.Error(), 0)
 	return false
 }
 
-// httpError writes one error in the mode's shape. v1 mode always
-// writes the uniform envelope (code, message, retry hint, request ID);
-// legacy mode reproduces the pre-versioning shapes byte for byte —
-// {"error": msg}, plus the timeout/canceled boolean variants — so
-// existing clients never see a new shape on /api/* routes.
-func (s *Server) httpError(w http.ResponseWriter, r *http.Request, v1 bool, status int, code, msg string, retrySecs int) {
+// httpError writes one error as the uniform envelope (code, message,
+// retry hint, request ID).
+func (s *Server) httpError(w http.ResponseWriter, r *http.Request, status int, code, msg string, retrySecs int) {
 	if retrySecs > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retrySecs))
 	}
-	if v1 {
-		writeJSON(w, status, api.ErrorEnvelope{Err: api.ErrorDetail{
-			Code:       code,
-			Message:    msg,
-			RetryAfter: retrySecs,
-			RequestID:  requestID(r),
-		}})
-		return
-	}
-	switch code {
-	case api.CodeTimeout:
-		writeJSON(w, status, map[string]any{"error": msg, "timeout": true})
-	case api.CodeCanceled:
-		writeJSON(w, status, map[string]any{"error": msg, "canceled": true})
-	default:
-		writeError(w, status, msg)
-	}
+	writeJSON(w, status, api.ErrorEnvelope{Err: api.ErrorDetail{
+		Code:       code,
+		Message:    msg,
+		RetryAfter: retrySecs,
+		RequestID:  requestID(r),
+	}})
 }
 
 // retrySecs is the whole-second Retry-After hint; never 0 (that would
@@ -563,66 +500,37 @@ func (s *Server) retrySecs() int {
 }
 
 // admit asks the scheduler for an execution slot, translating
-// rejections into the mode's HTTP responses: 429 + Retry-After when
-// the queue is full, 503 + Retry-After while draining, 504 when the
-// endpoint deadline expired while waiting, and — for a client that
-// went away while queued — 499 (v1) or the legacy 503. ctx is the
-// request's full deadline context: queue wait burns the same budget
-// execution would. It reports whether the request may proceed; on true
-// the caller must invoke the release closure when done.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request, timeout time.Duration, v1 bool) (func(), bool) {
+// rejections into HTTP responses: 429 + Retry-After when the queue is
+// full, 503 + Retry-After while draining, 504 when the endpoint
+// deadline expired while waiting, and 499 for a client that went away
+// while queued. ctx is the request's full deadline context: queue wait
+// burns the same budget execution would. It reports whether the
+// request may proceed; on true the caller must invoke the release
+// closure when done.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request, timeout time.Duration) (func(), bool) {
 	release, err := s.sched.acquire(ctx)
 	if err == nil {
 		return release, true
 	}
 	switch {
 	case errors.Is(err, errOverloaded):
-		s.httpError(w, r, v1, http.StatusTooManyRequests, api.CodeOverloaded,
+		s.httpError(w, r, http.StatusTooManyRequests, api.CodeOverloaded,
 			"server overloaded: request queue is full", s.retrySecs())
 	case errors.Is(err, errDraining):
-		s.httpError(w, r, v1, http.StatusServiceUnavailable, api.CodeUnavailable,
+		s.httpError(w, r, http.StatusServiceUnavailable, api.CodeUnavailable,
 			"server is shutting down", s.retrySecs())
 	case errors.Is(err, context.DeadlineExceeded):
 		// The endpoint deadline expired before a slot freed up: same
 		// timeout shape as an execution that ran out of time.
 		s.reg.Counter("server.deadline_exceeded").Inc()
-		s.httpError(w, r, v1, http.StatusGatewayTimeout, api.CodeTimeout,
+		s.httpError(w, r, http.StatusGatewayTimeout, api.CodeTimeout,
 			fmt.Sprintf("no execution slot within the %s deadline", timeout), 0)
-	case v1:
-		// The client went away while queued.
-		s.httpError(w, r, true, api.StatusClientClosedRequest, api.CodeCanceled,
-			"request canceled while queued: "+err.Error(), 0)
 	default:
-		writeError(w, http.StatusServiceUnavailable, "request canceled while queued: "+err.Error())
+		// The client went away while queued.
+		s.httpError(w, r, api.StatusClientClosedRequest, api.CodeCanceled,
+			"request canceled while queued: "+err.Error(), 0)
 	}
 	return nil, false
-}
-
-// writeExecError maps an execution failure to the response shape:
-// deadline expiry answers 504 with {"error": ..., "timeout": true},
-// other cancellations 503 with {"error": ..., "canceled": true}, and
-// anything else falls through to fallback.
-func (s *Server) writeExecError(w http.ResponseWriter, err error, timeout time.Duration, fallback func()) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.reg.Counter("server.deadline_exceeded").Inc()
-		writeJSON(w, http.StatusGatewayTimeout, map[string]any{
-			"error":   fmt.Sprintf("execution exceeded the %s deadline", timeout),
-			"timeout": true,
-		})
-	case errors.Is(err, cypher.ErrCanceled), errors.Is(err, context.Canceled):
-		s.reg.Counter("server.exec_canceled").Inc()
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":    "execution canceled: " + err.Error(),
-			"canceled": true,
-		})
-	default:
-		fallback()
-	}
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleHealthLive is the liveness probe: the process is up and the
@@ -689,127 +597,62 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// AskRequest is the /api/ask and /v1/ask input (one shared wire type;
-// see internal/api).
+// AskRequest is the /v1/ask input (one shared wire type; see
+// internal/api).
 type AskRequest = api.AskRequest
 
-// AskResponse is the /api/ask output: the answer, the executed Cypher
-// (transparency, per the paper), context and trace.
-type AskResponse struct {
-	Question    string               `json:"question"`
-	Answer      string               `json:"answer"`
-	Cypher      string               `json:"cypher,omitempty"`
-	CypherError string               `json:"cypher_error,omitempty"`
-	Rows        [][]graph.Value      `json:"rows,omitempty"`
-	Columns     []string             `json:"columns,omitempty"`
-	Context     []core.ContextRecord `json:"context,omitempty"`
-	Fallback    bool                 `json:"used_vector_fallback"`
-	DurationMS  float64              `json:"duration_ms"`
-	Trace       []traceEntry         `json:"trace"`
-}
-
-type traceEntry struct {
-	Stage      string  `json:"stage"`
-	Detail     string  `json:"detail,omitempty"`
-	Err        string  `json:"error,omitempty"`
-	DurationMS float64 `json:"duration_ms"`
-}
-
-// runAsk is the shared core of the legacy and v1 ask handlers: decode,
-// validate, admit, execute. Mode-appropriate errors are written on
-// failure; on success the caller renders its wire shape.
-func (s *Server) runAsk(w http.ResponseWriter, r *http.Request, v1 bool) (*core.Answer, bool) {
+// runAsk is the request half of the ask handler: decode, validate,
+// admit, execute. Errors are written on failure; on success the caller
+// renders the answer in the negotiated encoding.
+func (s *Server) runAsk(w http.ResponseWriter, r *http.Request) (*core.Answer, bool) {
 	var req AskRequest
-	if !s.decodeJSON(w, r, &req, v1) {
+	if !s.decodeJSON(w, r, &req) {
 		return nil, false
 	}
 	q := strings.TrimSpace(req.Question)
 	if q == "" {
-		s.httpError(w, r, v1, http.StatusBadRequest, api.CodeBadRequest, "question is required", 0)
+		s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest, "question is required", 0)
 		return nil, false
 	}
 	if len(q) > s.cfg.MaxQuestionLen {
-		s.httpError(w, r, v1, http.StatusBadRequest, api.CodeBadRequest,
+		s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest,
 			fmt.Sprintf("question exceeds %d bytes", s.cfg.MaxQuestionLen), 0)
 		return nil, false
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AskTimeout)
 	defer cancel()
-	release, ok := s.admit(ctx, w, r, s.cfg.AskTimeout, v1)
+	release, ok := s.admit(ctx, w, r, s.cfg.AskTimeout)
 	if !ok {
 		return nil, false
 	}
 	defer release()
 	ans, err := s.cfg.Pipeline.Ask(ctx, q)
 	if err != nil {
-		if v1 {
-			s.writeExecErrorV1(w, r, err, s.cfg.AskTimeout, api.CodeInternal, http.StatusInternalServerError)
-		} else {
-			s.writeExecError(w, err, s.cfg.AskTimeout, func() {
-				writeError(w, http.StatusInternalServerError, err.Error())
-			})
-		}
+		s.writeExecError(w, r, err, s.cfg.AskTimeout, api.CodeInternal, http.StatusInternalServerError)
 		return nil, false
 	}
 	return ans, true
 }
 
-func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
-	ans, ok := s.runAsk(w, r, false)
-	if !ok {
-		return
-	}
-	resp := AskResponse{
-		Question:    ans.Question,
-		Answer:      ans.Text,
-		Cypher:      ans.Cypher,
-		CypherError: ans.CypherError,
-		Rows:        ans.Rows,
-		Columns:     ans.Columns,
-		Context:     ans.Context,
-		Fallback:    ans.UsedVectorFallback,
-		DurationMS:  float64(ans.Duration.Microseconds()) / 1000,
-	}
-	for _, t := range ans.Trace {
-		resp.Trace = append(resp.Trace, traceEntry{
-			Stage: t.Stage, Detail: t.Detail, Err: t.Err,
-			DurationMS: float64(t.Duration.Microseconds()) / 1000,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// CypherRequest is the /api/cypher and /v1/cypher input (one shared
-// wire type; see internal/api). The legacy endpoint ignores the
-// pagination fields.
+// CypherRequest is the /v1/cypher and /v1/explain input (one shared
+// wire type; see internal/api).
 type CypherRequest = api.CypherRequest
 
-// CypherResponse is the /api/cypher output. Truncated reports that the
-// server-side row cap (Config.CypherRowLimit) cut the result off; the
-// rows present are the query's first rows, exactly as an explicit
-// LIMIT would have produced them.
-type CypherResponse struct {
-	Columns   []string          `json:"columns"`
-	Rows      [][]graph.Value   `json:"rows"`
-	Stats     cypher.WriteStats `json:"stats"`
-	Truncated bool              `json:"truncated"`
-}
-
-// decodeCypherRequest is the shared decode+validate step of every
-// Cypher-shaped handler (legacy and v1, cypher and explain).
-func (s *Server) decodeCypherRequest(w http.ResponseWriter, r *http.Request, v1 bool) (*CypherRequest, bool) {
+// decodeCypherRequest is the shared decode+validate step of the
+// Cypher-shaped handlers (cypher and explain).
+func (s *Server) decodeCypherRequest(w http.ResponseWriter, r *http.Request) (*CypherRequest, bool) {
 	var req CypherRequest
-	if !s.decodeJSON(w, r, &req, v1) {
+	if !s.decodeJSON(w, r, &req) {
 		return nil, false
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		s.httpError(w, r, v1, http.StatusBadRequest, api.CodeBadRequest, "query is required", 0)
+		s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest, "query is required", 0)
 		return nil, false
 	}
 	return &req, true
 }
 
-// serverRowLimit is the effective /v1/cypher and /api/cypher row cap.
+// serverRowLimit is the effective /v1/cypher row cap.
 func (s *Server) serverRowLimit() int {
 	if s.cfg.CypherRowLimit < 0 {
 		return 0 // negative config disables the cap
@@ -817,60 +660,15 @@ func (s *Server) serverRowLimit() int {
 	return s.cfg.CypherRowLimit
 }
 
-func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeCypherRequest(w, r, false)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.CypherTimeout)
-	defer cancel()
-	release, ok := s.admit(ctx, w, r, s.cfg.CypherTimeout, false)
-	if !ok {
-		return
-	}
-	defer release()
-	res, err := s.cfg.Pipeline.QueryLimitedContext(ctx, req.Query, req.Params, s.serverRowLimit())
-	if err != nil {
-		s.writeExecError(w, err, s.cfg.CypherTimeout, func() {
-			var syntaxErr *cypher.SyntaxError
-			if errors.As(err, &syntaxErr) {
-				writeError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-			writeError(w, http.StatusUnprocessableEntity, err.Error())
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, CypherResponse{
-		Columns: res.Columns, Rows: res.Rows, Stats: res.Stats, Truncated: res.Truncated,
-	})
-}
-
-// handleExplain returns the access plan for a query without executing
-// it.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeCypherRequest(w, r, false)
-	if !ok {
-		return
-	}
-	plan, err := cypher.Explain(s.cfg.Pipeline.Graph(), req.Query, s.cfg.Pipeline.ExecOptions())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"plan": plan})
-}
-
 func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_, _ = w.Write([]byte(indexHTML))
 }
 
-// handleNotFound answers every unrouted path with the v1 error
-// envelope: before the /{$} split, GET / matched every path, so a typo
-// like /api/askk got the index page with a 200.
+// handleNotFound answers every unrouted path with the error envelope
+// instead of the index page.
 func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	s.httpError(w, r, true, http.StatusNotFound, api.CodeNotFound,
+	s.httpError(w, r, http.StatusNotFound, api.CodeNotFound,
 		fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path), 0)
 }
 

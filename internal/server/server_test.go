@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"chatiyp/internal/api"
 	"chatiyp/internal/core"
 	"chatiyp/internal/graph"
 	"chatiyp/internal/iyp"
@@ -62,7 +63,7 @@ func TestNewRequiresPipeline(t *testing.T) {
 func TestHealth(t *testing.T) {
 	s, _ := newTestServer(t)
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/health", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("status = %d", rec.Code)
 	}
@@ -71,11 +72,11 @@ func TestHealth(t *testing.T) {
 func TestAskEndToEnd(t *testing.T) {
 	s, w := newTestServer(t)
 	q := fmt.Sprintf("What is the name of AS%d?", w.ASes[0].ASN)
-	rec := postJSON(t, s.Handler(), "/api/ask", AskRequest{Question: q})
+	rec := postJSON(t, s.Handler(), "/v1/ask", AskRequest{Question: q})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body = %s", rec.Code, rec.Body.String())
 	}
-	var resp AskResponse
+	var resp api.AskResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +94,13 @@ func TestAskEndToEnd(t *testing.T) {
 func TestAskValidation(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	if rec := postJSON(t, h, "/api/ask", AskRequest{Question: ""}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v1/ask", AskRequest{Question: ""}); rec.Code != http.StatusBadRequest {
 		t.Errorf("empty question status = %d", rec.Code)
 	}
-	if rec := postJSON(t, h, "/api/ask", AskRequest{Question: strings.Repeat("x", 5000)}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v1/ask", AskRequest{Question: strings.Repeat("x", 5000)}); rec.Code != http.StatusBadRequest {
 		t.Errorf("oversized question status = %d", rec.Code)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/api/ask", strings.NewReader("{not json"))
+	req := httptest.NewRequest(http.MethodPost, "/v1/ask", strings.NewReader("{not json"))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
@@ -107,19 +108,19 @@ func TestAskValidation(t *testing.T) {
 	}
 	// GET on the POST-only route falls through to the catch-all and 404s.
 	rec2 := httptest.NewRecorder()
-	h.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/ask", nil))
+	h.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/v1/ask", nil))
 	if rec2.Code != http.StatusNotFound && rec2.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /api/ask status = %d", rec2.Code)
+		t.Errorf("GET /v1/ask status = %d", rec2.Code)
 	}
 }
 
 func TestCypherEndpoint(t *testing.T) {
 	s, _ := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/api/cypher", CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"})
+	rec := postJSON(t, s.Handler(), "/v1/cypher", CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body = %s", rec.Code, rec.Body.String())
 	}
-	var resp CypherResponse
+	var resp api.CypherResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestCypherEndpoint(t *testing.T) {
 
 func TestCypherEndpointParams(t *testing.T) {
 	s, w := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/api/cypher", CypherRequest{
+	rec := postJSON(t, s.Handler(), "/v1/cypher", CypherRequest{
 		Query:  "MATCH (a:AS {asn: $asn}) RETURN a.name",
 		Params: map[string]any{"asn": w.ASes[0].ASN},
 	})
@@ -145,14 +146,14 @@ func TestCypherEndpointParams(t *testing.T) {
 func TestCypherEndpointErrors(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	if rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: "NOT CYPHER"}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v1/cypher", CypherRequest{Query: "NOT CYPHER"}); rec.Code != http.StatusBadRequest {
 		t.Errorf("syntax error status = %d", rec.Code)
 	}
-	if rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: ""}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v1/cypher", CypherRequest{Query: ""}); rec.Code != http.StatusBadRequest {
 		t.Errorf("empty query status = %d", rec.Code)
 	}
 	// Valid syntax, runtime failure (unknown parameter).
-	if rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: "MATCH (a:AS {asn: $nope}) RETURN a"}); rec.Code != http.StatusUnprocessableEntity {
+	if rec := postJSON(t, h, "/v1/cypher", CypherRequest{Query: "MATCH (a:AS {asn: $nope}) RETURN a"}); rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("runtime error status = %d", rec.Code)
 	}
 }
@@ -161,12 +162,12 @@ func TestSchemaAndStats(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/schema", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/schema", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "POPULATION") {
 		t.Errorf("schema: %d %s", rec.Code, rec.Body.String()[:80])
 	}
 	rec2 := httptest.NewRecorder()
-	h.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
+	h.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	if rec2.Code != http.StatusOK || !strings.Contains(rec2.Body.String(), "Nodes") {
 		t.Errorf("stats: %d", rec2.Code)
 	}
@@ -205,11 +206,11 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 
 func TestVectorFallbackVisibleInResponse(t *testing.T) {
 	s, _ := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/api/ask", AskRequest{Question: "Tell me something interesting about large exchange operators"})
+	rec := postJSON(t, s.Handler(), "/v1/ask", AskRequest{Question: "Tell me something interesting about large exchange operators"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var resp AskResponse
+	var resp api.AskResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestVectorFallbackVisibleInResponse(t *testing.T) {
 
 func TestExplainEndpoint(t *testing.T) {
 	s, w := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/api/explain", CypherRequest{
+	rec := postJSON(t, s.Handler(), "/v1/explain", CypherRequest{
 		Query: fmt.Sprintf("MATCH (a:AS {asn: %d})-[:ORIGINATE]->(p:Prefix) RETURN p.prefix", w.ASes[0].ASN),
 	})
 	if rec.Code != http.StatusOK {
@@ -229,7 +230,7 @@ func TestExplainEndpoint(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "property index (AS, asn)") {
 		t.Errorf("plan missing index usage: %s", rec.Body.String())
 	}
-	if rec := postJSON(t, s.Handler(), "/api/explain", CypherRequest{Query: "BROKEN"}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, s.Handler(), "/v1/explain", CypherRequest{Query: "BROKEN"}); rec.Code != http.StatusBadRequest {
 		t.Errorf("broken query status = %d", rec.Code)
 	}
 }
@@ -240,12 +241,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Drive some Cypher traffic so the plan cache has counters to show.
 	query := fmt.Sprintf("MATCH (a:AS {asn: %d}) RETURN a.asn", w.ASes[0].ASN)
 	for i := 0; i < 3; i++ {
-		rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: query})
+		rec := postJSON(t, h, "/v1/cypher", CypherRequest{Query: query})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("cypher status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	req := httptest.NewRequest(http.MethodGet, "/api/metrics", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -283,11 +284,11 @@ func TestCypherRowCapTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := postJSON(t, s.Handler(), "/api/cypher", CypherRequest{Query: "MATCH (a:AS) RETURN a.asn"})
+	rec := postJSON(t, s.Handler(), "/v1/cypher", CypherRequest{Query: "MATCH (a:AS) RETURN a.asn"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var resp CypherResponse
+	var resp api.CypherResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestCypherRowCapTruncates(t *testing.T) {
 		t.Fatalf("rows=%d truncated=%v, want 5/true", len(resp.Rows), resp.Truncated)
 	}
 	// Within the cap: no truncation flag.
-	rec = postJSON(t, s.Handler(), "/api/cypher", CypherRequest{Query: "MATCH (a:AS) RETURN a.asn LIMIT 3"})
+	rec = postJSON(t, s.Handler(), "/v1/cypher", CypherRequest{Query: "MATCH (a:AS) RETURN a.asn LIMIT 3"})
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +308,11 @@ func TestCypherRowCapTruncates(t *testing.T) {
 func TestMetricsExposeStreamingCounters(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: "MATCH (a:AS) RETURN a.asn LIMIT 2"})
+	rec := postJSON(t, h, "/v1/cypher", CypherRequest{Query: "MATCH (a:AS) RETURN a.asn LIMIT 2"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("cypher status %d: %s", rec.Code, rec.Body)
 	}
-	req := httptest.NewRequest(http.MethodGet, "/api/metrics", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
 	mrec := httptest.NewRecorder()
 	h.ServeHTTP(mrec, req)
 	var resp struct {
@@ -329,12 +330,12 @@ func TestMetricsExposeStreamingCounters(t *testing.T) {
 }
 
 // TestMetricsExposeParallelCounters checks the morsel-executor gauges
-// are mirrored at /api/metrics. Their values are process-global and
+// are mirrored at /v1/metrics. Their values are process-global and
 // depend on GOMAXPROCS (a 1-core run never engages the parallel path),
 // so this asserts presence, not magnitude.
 func TestMetricsExposeParallelCounters(t *testing.T) {
 	s, _ := newTestServer(t)
-	req := httptest.NewRequest(http.MethodGet, "/api/metrics", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
 	mrec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(mrec, req)
 	var resp struct {
@@ -378,7 +379,7 @@ func newCustomServer(t testing.TB, tune func(*Config)) *Server {
 func TestOversizedBodyReturns413(t *testing.T) {
 	s := newCustomServer(t, func(c *Config) { c.MaxBodyBytes = 256 })
 	h := s.Handler()
-	for _, path := range []string{"/api/ask", "/api/cypher", "/api/explain"} {
+	for _, path := range []string{"/v1/ask", "/v1/cypher", "/v1/explain"} {
 		body := fmt.Sprintf(`{"question": %q, "query": %q}`, strings.Repeat("x", 1024), strings.Repeat("y", 1024))
 		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 		rec := httptest.NewRecorder()
@@ -386,11 +387,8 @@ func TestOversizedBodyReturns413(t *testing.T) {
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: status = %d, want 413", path, rec.Code)
 		}
-		var resp map[string]string
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Errorf("%s: non-JSON 413 body: %s", path, rec.Body.String())
-		} else if resp["error"] == "" {
-			t.Errorf("%s: 413 body missing error field: %v", path, resp)
+		if detail := decodeEnvelope(t, rec.Body.Bytes()); detail.Code != api.CodeBodyTooLarge || detail.Message == "" {
+			t.Errorf("%s: 413 envelope = %+v", path, detail)
 		}
 	}
 }
@@ -402,7 +400,7 @@ func TestRequestIDAndStatusLogging(t *testing.T) {
 
 	// A fresh ID is minted and echoed.
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/health", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
 	if id := rec.Header().Get("X-Request-ID"); len(id) != 12 {
 		t.Errorf("X-Request-ID = %q, want 12 hex chars", id)
 	}
@@ -437,22 +435,15 @@ const slowCrossJoin = "MATCH (a:AS) MATCH (b:AS) MATCH (c:AS) MATCH (d:AS) RETUR
 func TestCypherTimeoutShape(t *testing.T) {
 	s := newCustomServer(t, func(c *Config) { c.CypherTimeout = 30 * time.Millisecond })
 	start := time.Now()
-	rec := postJSON(t, s.Handler(), "/api/cypher", CypherRequest{Query: slowCrossJoin})
+	rec := postJSON(t, s.Handler(), "/v1/cypher", CypherRequest{Query: slowCrossJoin})
 	if el := time.Since(start); el > 10*time.Second {
 		t.Fatalf("timed-out query held the worker for %v", el)
 	}
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d body = %s, want 504", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Error   string `json:"error"`
-		Timeout bool   `json:"timeout"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Timeout || resp.Error == "" {
-		t.Fatalf("timeout shape = %+v", resp)
+	if detail := decodeEnvelope(t, rec.Body.Bytes()); detail.Code != api.CodeTimeout || detail.Message == "" {
+		t.Fatalf("timeout envelope = %+v", detail)
 	}
 	// The abort is visible in the mirrored cancellation counters.
 	snap := s.cfg.Pipeline.Metrics().Snapshot()
@@ -466,18 +457,12 @@ func TestCypherTimeoutShape(t *testing.T) {
 
 func TestAskTimeoutShape(t *testing.T) {
 	s := newCustomServer(t, func(c *Config) { c.AskTimeout = time.Nanosecond })
-	rec := postJSON(t, s.Handler(), "/api/ask", AskRequest{Question: "What is the name of AS1?"})
+	rec := postJSON(t, s.Handler(), "/v1/ask", AskRequest{Question: "What is the name of AS1?"})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d body = %s, want 504", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Timeout bool `json:"timeout"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Timeout {
-		t.Fatalf("body = %s, want timeout shape", rec.Body.String())
+	if detail := decodeEnvelope(t, rec.Body.Bytes()); detail.Code != api.CodeTimeout {
+		t.Fatalf("body = %s, want the timeout envelope", rec.Body.String())
 	}
 }
 
@@ -494,14 +479,14 @@ func TestOverloadReturns429WithRetryAfter(t *testing.T) {
 	go func() {
 		var buf bytes.Buffer
 		_ = json.NewEncoder(&buf).Encode(CypherRequest{Query: slowCrossJoin})
-		req := httptest.NewRequest(http.MethodPost, "/api/cypher", &buf)
+		req := httptest.NewRequest(http.MethodPost, "/v1/cypher", &buf)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		slowDone <- rec
 	}()
 	waitFor(t, func() bool { return reg.Gauge("server.inflight").Value() == 1 })
 
-	rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"})
+	rec := postJSON(t, h, "/v1/cypher", CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d body = %s, want 429", rec.Code, rec.Body.String())
 	}
@@ -529,8 +514,8 @@ func TestDrainRejectsWith503(t *testing.T) {
 		path string
 		v    any
 	}{
-		{"/api/ask", AskRequest{Question: "What is the name of AS1?"}},
-		{"/api/cypher", CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"}},
+		{"/v1/ask", AskRequest{Question: "What is the name of AS1?"}},
+		{"/v1/cypher", CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"}},
 	} {
 		rec := postJSON(t, s.Handler(), body.path, body.v)
 		if rec.Code != http.StatusServiceUnavailable {
@@ -543,14 +528,14 @@ func TestDrainRejectsWith503(t *testing.T) {
 	// Cheap endpoints stay up through the drain (health checks must
 	// keep passing until the process exits).
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/health", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("health during drain: status = %d", rec.Code)
 	}
 }
 
 // TestConcurrentCypherSaturation drives the full handler stack past
-// its concurrency limit from many goroutines (via /api/cypher, the
+// its concurrency limit from many goroutines (via /v1/cypher, the
 // cheaper of the two scheduled endpoints); under -race this exercises
 // the scheduler, pipeline, plan cache and cancellation paths together.
 func TestConcurrentCypherSaturation(t *testing.T) {
@@ -567,7 +552,7 @@ func TestConcurrentCypherSaturation(t *testing.T) {
 			defer wg.Done()
 			var buf bytes.Buffer
 			_ = json.NewEncoder(&buf).Encode(CypherRequest{Query: "MATCH (a:AS) RETURN a.asn LIMIT 5"})
-			req := httptest.NewRequest(http.MethodPost, "/api/cypher", &buf)
+			req := httptest.NewRequest(http.MethodPost, "/v1/cypher", &buf)
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 			codes[i] = rec.Code
@@ -597,7 +582,7 @@ func TestConcurrentCypherSaturation(t *testing.T) {
 func TestForgedRequestIDReplaced(t *testing.T) {
 	var buf bytes.Buffer
 	s := newCustomServer(t, func(c *Config) { c.Logger = log.New(&buf, "", 0) })
-	req := httptest.NewRequest(http.MethodGet, "/api/health", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/health", nil)
 	req.Header.Set("X-Request-ID", "x 200 0B 1ms id=victim")
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)

@@ -34,7 +34,7 @@ func (s *Server) handleToolsV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.ToolRequest
-	if !s.decodeJSON(w, r, &req, true) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if req.JSONRPC != api.JSONRPCVersion {
@@ -106,7 +106,7 @@ func (s *Server) handleToolCall(w http.ResponseWriter, r *http.Request, mode str
 	timeout := s.cfg.ToolTimeout
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	release, ok := s.admit(ctx, w, r, timeout, true)
+	release, ok := s.admit(ctx, w, r, timeout)
 	if !ok {
 		return
 	}
@@ -168,10 +168,10 @@ func (s *Server) writeToolFailure(w http.ResponseWriter, r *http.Request, mode s
 		if !streaming {
 			switch ae.Code {
 			case api.CodeSessionNotFound:
-				s.httpError(w, r, true, http.StatusNotFound, ae.Code, ae.Message, 0)
+				s.httpError(w, r, http.StatusNotFound, ae.Code, ae.Message, 0)
 				return
 			case api.CodeSessionExpired:
-				s.httpError(w, r, true, http.StatusGone, ae.Code, ae.Message, 0)
+				s.httpError(w, r, http.StatusGone, ae.Code, ae.Message, 0)
 				return
 			case api.CodeSessionBudget:
 				retry := 0
@@ -182,7 +182,7 @@ func (s *Server) writeToolFailure(w http.ResponseWriter, r *http.Request, mode s
 					}
 				}
 				s.reg.Counter("agent.session_rejects").Inc()
-				s.httpError(w, r, true, http.StatusTooManyRequests, ae.Code, ae.Message, retry)
+				s.httpError(w, r, http.StatusTooManyRequests, ae.Code, ae.Message, retry)
 				return
 			}
 		}

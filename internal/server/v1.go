@@ -10,8 +10,8 @@ import (
 	"strings"
 	"time"
 
+	"chatiyp/internal/agent"
 	"chatiyp/internal/api"
-	"chatiyp/internal/core"
 	"chatiyp/internal/cypher"
 	"chatiyp/internal/graph"
 	"chatiyp/internal/resilience"
@@ -19,9 +19,8 @@ import (
 
 // This file implements the versioned /v1/ handlers: content
 // negotiation (JSON vs streaming NDJSON), cursor pagination, the batch
-// endpoint, and the uniform error envelope. The legacy /api/* handlers
-// in server.go delegate to the same decode/admit/execute helpers and
-// differ only in response rendering.
+// endpoint, and the uniform error envelope. The decode/admit helpers
+// they share live in server.go.
 
 // streamFlushInterval is how many NDJSON row records may buffer
 // between explicit flushes. The header and first row always flush
@@ -85,7 +84,7 @@ func (s *Server) negotiate(w http.ResponseWriter, r *http.Request) (string, bool
 	case acceptsJSON(acc):
 		return api.MediaJSON, true
 	}
-	s.httpError(w, r, true, http.StatusNotAcceptable, api.CodeNotAcceptable,
+	s.httpError(w, r, http.StatusNotAcceptable, api.CodeNotAcceptable,
 		fmt.Sprintf("no acceptable representation: this endpoint produces %s and %s", api.MediaJSON, api.MediaNDJSON), 0)
 	return "", false
 }
@@ -101,25 +100,25 @@ func (s *Server) negotiateJSON(w http.ResponseWriter, r *http.Request) bool {
 	if strings.TrimSpace(accept) == "" || acceptsJSON(acceptable(accept)) {
 		return true
 	}
-	s.httpError(w, r, true, http.StatusNotAcceptable, api.CodeNotAcceptable,
+	s.httpError(w, r, http.StatusNotAcceptable, api.CodeNotAcceptable,
 		fmt.Sprintf("no acceptable representation: this endpoint produces %s only", api.MediaJSON), 0)
 	return false
 }
 
-// writeExecErrorV1 maps an execution failure onto the envelope:
+// writeExecError maps an execution failure onto the envelope:
 // deadline expiry is 504/timeout, cancellation 499/canceled, Cypher
 // syntax errors 400/parse_error, fail-fast model-layer rejections
 // (breaker open, bulkhead full) 503/unavailable + Retry-After, and
 // anything else the caller's fallback code and status (exec_error 422
 // for Cypher, internal 500 for ask).
-func (s *Server) writeExecErrorV1(w http.ResponseWriter, r *http.Request, err error, timeout time.Duration, fallbackCode string, fallbackStatus int) {
+func (s *Server) writeExecError(w http.ResponseWriter, r *http.Request, err error, timeout time.Duration, fallbackCode string, fallbackStatus int) {
 	status, code, msg, retry := s.classifyExecError(err, timeout, fallbackCode, fallbackStatus)
-	s.httpError(w, r, true, status, code, msg, retry)
+	s.httpError(w, r, status, code, msg, retry)
 }
 
 // classifyExecError maps an execution failure to (status, code,
-// message, retry-after seconds), bumping the same counters the legacy
-// path does.
+// message, retry-after seconds), bumping the server.deadline_exceeded,
+// server.exec_canceled and server.llm_unavailable counters.
 func (s *Server) classifyExecError(err error, timeout time.Duration, fallbackCode string, fallbackStatus int) (int, string, string, int) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -144,46 +143,6 @@ func (s *Server) classifyExecError(err error, timeout time.Duration, fallbackCod
 	return fallbackStatus, fallbackCode, err.Error(), 0
 }
 
-// wireStats converts engine write statistics to the wire shape.
-func wireStats(s cypher.WriteStats) api.WriteStats {
-	return api.WriteStats{
-		NodesCreated:         s.NodesCreated,
-		NodesDeleted:         s.NodesDeleted,
-		RelationshipsCreated: s.RelationshipsCreated,
-		RelationshipsDeleted: s.RelationshipsDeleted,
-		PropertiesSet:        s.PropertiesSet,
-		LabelsAdded:          s.LabelsAdded,
-		LabelsRemoved:        s.LabelsRemoved,
-	}
-}
-
-// wireAnswer converts a pipeline answer to the v1 wire shape.
-func wireAnswer(ans *core.Answer) *api.AskResponse {
-	resp := &api.AskResponse{
-		Question:       ans.Question,
-		Answer:         ans.Text,
-		Cypher:         ans.Cypher,
-		CypherError:    ans.CypherError,
-		Columns:        ans.Columns,
-		Rows:           ans.Rows,
-		Fallback:       ans.UsedVectorFallback,
-		CacheHit:       ans.CacheHit,
-		Degraded:       ans.Degraded,
-		DegradedReason: ans.DegradedReason,
-		DurationMS:     float64(ans.Duration.Microseconds()) / 1000,
-	}
-	for _, c := range ans.Context {
-		resp.Context = append(resp.Context, api.ContextRecord{Source: c.Source, Text: c.Text, Score: c.Score})
-	}
-	for _, t := range ans.Trace {
-		resp.Trace = append(resp.Trace, api.TraceEntry{
-			Stage: t.Stage, Detail: t.Detail, Err: t.Err,
-			DurationMS: float64(t.Duration.Microseconds()) / 1000,
-		})
-	}
-	return resp
-}
-
 // handleAskV1 is POST /v1/ask: the full RAG pipeline, answering JSON
 // by default and NDJSON (header, result rows, trailer carrying the
 // answer) when negotiated.
@@ -192,11 +151,11 @@ func (s *Server) handleAskV1(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ans, ok := s.runAsk(w, r, true)
+	ans, ok := s.runAsk(w, r)
 	if !ok {
 		return
 	}
-	resp := wireAnswer(ans)
+	resp := agent.WireAnswer(ans)
 	if mode == api.MediaJSON {
 		writeJSON(w, http.StatusOK, resp)
 		return
@@ -226,27 +185,27 @@ func (s *Server) handleAskBatchV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.AskBatchRequest
-	if !s.decodeJSON(w, r, &req, true) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Questions) == 0 {
-		s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadRequest, "questions is required", 0)
+		s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest, "questions is required", 0)
 		return
 	}
 	if len(req.Questions) > s.cfg.MaxBatch {
-		s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadRequest,
+		s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest,
 			fmt.Sprintf("batch exceeds %d questions", s.cfg.MaxBatch), 0)
 		return
 	}
 	for i, q := range req.Questions {
 		q = strings.TrimSpace(q)
 		if q == "" {
-			s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadRequest,
+			s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest,
 				fmt.Sprintf("questions[%d] is empty", i), 0)
 			return
 		}
 		if len(q) > s.cfg.MaxQuestionLen {
-			s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadRequest,
+			s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest,
 				fmt.Sprintf("questions[%d] exceeds %d bytes", i, s.cfg.MaxQuestionLen), 0)
 			return
 		}
@@ -264,7 +223,7 @@ func (s *Server) handleAskBatchV1(w http.ResponseWriter, r *http.Request) {
 	// would let clients buy unbounded slot time by batching.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AskTimeout)
 	defer cancel()
-	release, ok := s.admit(ctx, w, r, s.cfg.AskTimeout, true)
+	release, ok := s.admit(ctx, w, r, s.cfg.AskTimeout)
 	if !ok {
 		return
 	}
@@ -278,7 +237,7 @@ func (s *Server) handleAskBatchV1(w http.ResponseWriter, r *http.Request) {
 			_, code, msg, retry := s.classifyExecError(ba.Err, s.cfg.AskTimeout, api.CodeInternal, http.StatusInternalServerError)
 			res.Error = &api.ErrorDetail{Code: code, Message: msg, RetryAfter: retry, RequestID: requestID(r)}
 		default:
-			res.Answer = wireAnswer(ba.Answer)
+			res.Answer = agent.WireAnswer(ba.Answer)
 		}
 		resp.Results[i] = res
 	}
@@ -296,13 +255,13 @@ func (s *Server) handleCypherV1(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, ok := s.decodeCypherRequest(w, r, true)
+	req, ok := s.decodeCypherRequest(w, r)
 	if !ok {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.CypherTimeout)
 	defer cancel()
-	release, ok := s.admit(ctx, w, r, s.cfg.CypherTimeout, true)
+	release, ok := s.admit(ctx, w, r, s.cfg.CypherTimeout)
 	if !ok {
 		return
 	}
@@ -315,11 +274,11 @@ func (s *Server) handleCypherV1(w http.ResponseWriter, r *http.Request) {
 	default:
 		res, err := s.cfg.Pipeline.QueryLimitedContext(ctx, req.Query, req.Params, s.serverRowLimit())
 		if err != nil {
-			s.writeExecErrorV1(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
+			s.writeExecError(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
 			return
 		}
 		writeJSON(w, http.StatusOK, api.CypherResponse{
-			Columns: res.Columns, Rows: res.Rows, Stats: wireStats(res.Stats), Truncated: res.Truncated,
+			Columns: res.Columns, Rows: res.Rows, Stats: agent.WireStats(res.Stats), Truncated: res.Truncated,
 		})
 	}
 }
@@ -333,7 +292,7 @@ func (s *Server) streamCypherV1(ctx context.Context, w http.ResponseWriter, r *h
 	started := time.Now()
 	st, err := s.cfg.Pipeline.QueryStreamContext(ctx, req.Query, req.Params, s.serverRowLimit())
 	if err != nil {
-		s.writeExecErrorV1(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
+		s.writeExecError(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
 		return
 	}
 	defer st.Close()
@@ -357,7 +316,7 @@ func (s *Server) streamCypherV1(ctx context.Context, w http.ResponseWriter, r *h
 			return // client gone; Close flushes the row counters
 		}
 	}
-	stats := wireStats(st.Stats())
+	stats := agent.WireStats(st.Stats())
 	out.trailer(api.StreamRecord{
 		Truncated:  st.Truncated(),
 		Stats:      &stats,
@@ -379,11 +338,11 @@ func (s *Server) pageCypherV1(ctx context.Context, w http.ResponseWriter, r *htt
 	// per-page work.
 	parsed, err := cypher.Parse(req.Query)
 	if err != nil {
-		s.writeExecErrorV1(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
+		s.writeExecError(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
 		return
 	}
 	if !parsed.ReadOnly() {
-		s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadRequest,
+		s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest,
 			"cursor pagination supports read-only queries; run write queries without cursor/page_size", 0)
 		return
 	}
@@ -400,16 +359,16 @@ func (s *Server) pageCypherV1(ctx context.Context, w http.ResponseWriter, r *htt
 	if req.Cursor != "" {
 		cur, err := api.DecodeCursor(req.Cursor)
 		if err != nil {
-			s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadCursor, "malformed cursor", 0)
+			s.httpError(w, r, http.StatusBadRequest, api.CodeBadCursor, "malformed cursor", 0)
 			return
 		}
 		if cur.QueryHash != hash {
-			s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadCursor,
+			s.httpError(w, r, http.StatusBadRequest, api.CodeBadCursor,
 				"cursor was issued for a different query", 0)
 			return
 		}
 		if cur.Version != version {
-			s.httpError(w, r, true, http.StatusGone, api.CodeStaleCursor,
+			s.httpError(w, r, http.StatusGone, api.CodeStaleCursor,
 				"the graph changed since this cursor was issued; restart from the first page", 0)
 			return
 		}
@@ -427,7 +386,7 @@ func (s *Server) pageCypherV1(ctx context.Context, w http.ResponseWriter, r *htt
 	// uncapped on every page request.
 	st, err := s.cfg.Pipeline.QueryStreamContext(ctx, req.Query, req.Params, s.serverRowLimit())
 	if err != nil {
-		s.writeExecErrorV1(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
+		s.writeExecError(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
 		return
 	}
 	defer st.Close()
@@ -436,7 +395,7 @@ func (s *Server) pageCypherV1(ctx context.Context, w http.ResponseWriter, r *htt
 	for pulled := 0; pulled < offset+pageSize+1; pulled++ {
 		row, ok, err := st.Next()
 		if err != nil {
-			s.writeExecErrorV1(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
+			s.writeExecError(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
 			return
 		}
 		if !ok {
@@ -452,7 +411,7 @@ func (s *Server) pageCypherV1(ctx context.Context, w http.ResponseWriter, r *htt
 		rows = append(rows, row)
 	}
 	writeJSON(w, http.StatusOK, api.CypherResponse{
-		Columns: st.Columns(), Rows: rows, Stats: wireStats(st.Stats()),
+		Columns: st.Columns(), Rows: rows, Stats: agent.WireStats(st.Stats()),
 		// A pipeline-level row cap (Config.ExecOptions.RowLimit) can end
 		// the walk before the query's natural end; without this flag the
 		// final page would present a truncated result as complete.
@@ -467,7 +426,7 @@ func (s *Server) handleExplainV1(w http.ResponseWriter, r *http.Request) {
 	if !s.negotiateJSON(w, r) {
 		return
 	}
-	req, ok := s.decodeCypherRequest(w, r, true)
+	req, ok := s.decodeCypherRequest(w, r)
 	if !ok {
 		return
 	}
@@ -478,7 +437,7 @@ func (s *Server) handleExplainV1(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &syntaxErr) {
 			code = api.CodeParseError
 		}
-		s.httpError(w, r, true, http.StatusBadRequest, code, err.Error(), 0)
+		s.httpError(w, r, http.StatusBadRequest, code, err.Error(), 0)
 		return
 	}
 	writeJSON(w, http.StatusOK, api.ExplainResponse{Plan: plan})

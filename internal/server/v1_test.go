@@ -85,9 +85,8 @@ func TestV1CypherJSONMode(t *testing.T) {
 }
 
 // TestV1ErrorEnvelopeMatrix is the full error-shape contract: for each
-// failure class, the v1 route answers the documented status and stable
-// code in the uniform envelope, and the legacy shim answers its
-// pre-versioning shape and status — both asserted from one table.
+// failure class, the route answers the documented status and stable
+// code in the uniform envelope.
 func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 	drainSrv := newCustomServer(t, nil)
 	if err := drainSrv.Drain(context.Background()); err != nil {
@@ -109,7 +108,7 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 	slowDone := make(chan struct{})
 	go func() {
 		defer close(slowDone)
-		postJSON(t, overloaded.Handler(), "/api/cypher", CypherRequest{Query: slowCrossJoin})
+		postJSON(t, overloaded.Handler(), "/v1/cypher", CypherRequest{Query: slowCrossJoin})
 	}()
 	waitFor(t, func() bool { return overloaded.reg.Gauge("server.inflight").Value() == 1 })
 
@@ -128,33 +127,25 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 		// request
 		method, path, body, contentType string
 		ctxCanceled                     bool
-		// v1 expectations
+		// expectations
 		wantStatus int
 		wantCode   string
 		retryAfter bool
-		// legacy expectations (path rewritten to /api/...); legacyStatus
-		// 0 means the case has no legacy counterpart.
-		legacyPath   string
-		legacyStatus int
-		legacyField  string // extra boolean field the legacy shape carries
 	}{
 		{
 			name: "parse error", srv: plain,
 			method: "POST", path: "/v1/cypher", body: `{"query": "NOT CYPHER"}`, contentType: "application/json",
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeParseError,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusBadRequest,
 		},
 		{
 			name: "exec error", srv: plain,
 			method: "POST", path: "/v1/cypher", body: `{"query": "MATCH (a:AS {asn: $nope}) RETURN a"}`, contentType: "application/json",
 			wantStatus: http.StatusUnprocessableEntity, wantCode: api.CodeExecError,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusUnprocessableEntity,
 		},
 		{
 			name: "timeout", srv: shortTimeout,
 			method: "POST", path: "/v1/cypher", body: `{"query": "` + slowCrossJoin + `"}`, contentType: "application/json",
 			wantStatus: http.StatusGatewayTimeout, wantCode: api.CodeTimeout,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusGatewayTimeout, legacyField: "timeout",
 		},
 		{
 			name: "canceled (client gone)", srv: plain,
@@ -166,19 +157,16 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 			name: "overloaded", srv: overloaded,
 			method: "POST", path: "/v1/cypher", body: `{"query": "MATCH (c:Country) RETURN count(c)"}`, contentType: "application/json",
 			wantStatus: http.StatusTooManyRequests, wantCode: api.CodeOverloaded, retryAfter: true,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusTooManyRequests,
 		},
 		{
 			name: "draining", srv: drainSrv,
 			method: "POST", path: "/v1/ask", body: `{"question": "What is the name of AS1?"}`, contentType: "application/json",
 			wantStatus: http.StatusServiceUnavailable, wantCode: api.CodeUnavailable, retryAfter: true,
-			legacyPath: "/api/ask", legacyStatus: http.StatusServiceUnavailable,
 		},
 		{
 			name: "body too large", srv: tinyBody,
 			method: "POST", path: "/v1/cypher", body: `{"query": "` + strings.Repeat("x", 200) + `"}`, contentType: "application/json",
 			wantStatus: http.StatusRequestEntityTooLarge, wantCode: api.CodeBodyTooLarge,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusRequestEntityTooLarge,
 		},
 		{
 			name: "unknown path", srv: plain,
@@ -186,19 +174,14 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 			wantStatus: http.StatusNotFound, wantCode: api.CodeNotFound,
 		},
 		{
-			// 415 is a v1-only contract: the pre-versioning endpoints never
-			// checked Content-Type, so the legacy shim attempts the decode
-			// and answers its usual 400 for the non-JSON payload.
 			name: "unsupported media type", srv: plain,
 			method: "POST", path: "/v1/cypher", body: `query=x`, contentType: "application/x-www-form-urlencoded",
 			wantStatus: http.StatusUnsupportedMediaType, wantCode: api.CodeUnsupportedMedia,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusBadRequest,
 		},
 		{
 			name: "bad request", srv: plain,
 			method: "POST", path: "/v1/ask", body: `{"question": ""}`, contentType: "application/json",
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeBadRequest,
-			legacyPath: "/api/ask", legacyStatus: http.StatusBadRequest,
 		},
 	}
 	for _, tc := range cases {
@@ -213,7 +196,7 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 			rec := httptest.NewRecorder()
 			tc.srv.Handler().ServeHTTP(rec, req)
 			if rec.Code != tc.wantStatus {
-				t.Fatalf("v1 status = %d body = %s, want %d", rec.Code, rec.Body.String(), tc.wantStatus)
+				t.Fatalf("status = %d body = %s, want %d", rec.Code, rec.Body.String(), tc.wantStatus)
 			}
 			detail := decodeEnvelope(t, rec.Body.Bytes())
 			if detail.Code != tc.wantCode {
@@ -234,30 +217,6 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 				}
 			}
 
-			if tc.legacyStatus == 0 {
-				return
-			}
-			// The legacy shim answers its pre-versioning shape.
-			lreq := httptest.NewRequest(tc.method, tc.legacyPath, strings.NewReader(tc.body))
-			lreq.Header.Set("Content-Type", tc.contentType)
-			lrec := httptest.NewRecorder()
-			tc.srv.Handler().ServeHTTP(lrec, lreq)
-			if lrec.Code != tc.legacyStatus {
-				t.Fatalf("legacy status = %d body = %s, want %d", lrec.Code, lrec.Body.String(), tc.legacyStatus)
-			}
-			var legacy map[string]any
-			if err := json.Unmarshal(lrec.Body.Bytes(), &legacy); err != nil {
-				t.Fatalf("legacy body not JSON: %s", lrec.Body.String())
-			}
-			if msg, ok := legacy["error"].(string); !ok || msg == "" {
-				t.Errorf("legacy error not a plain string: %s", lrec.Body.String())
-			}
-			if tc.legacyField != "" && legacy[tc.legacyField] != true {
-				t.Errorf("legacy shape missing %q: %s", tc.legacyField, lrec.Body.String())
-			}
-			if lrec.Header().Get("Deprecation") != "true" {
-				t.Error("legacy response missing Deprecation header")
-			}
 		})
 	}
 	<-slowDone
@@ -277,20 +236,6 @@ func TestV1NotAcceptable(t *testing.T) {
 		rec := postWith(t, s.Handler(), "/v1/cypher", `{"query": "RETURN 1"}`, "application/json", accept)
 		if rec.Code != http.StatusOK {
 			t.Errorf("Accept %q: status = %d", accept, rec.Code)
-		}
-	}
-}
-
-// TestLegacyShimsIgnoreContentType: the pre-versioning endpoints never
-// checked Content-Type, so a pre-existing client posting JSON under
-// e.g. text/plain must keep working on the deprecated shims — the 415
-// contract is v1-only.
-func TestLegacyShimsIgnoreContentType(t *testing.T) {
-	s, _ := newTestServer(t)
-	for _, ct := range []string{"text/plain", "application/x-www-form-urlencoded", "application/octet-stream"} {
-		rec := postWith(t, s.Handler(), "/api/cypher", `{"query": "RETURN 1"}`, ct, "")
-		if rec.Code != http.StatusOK {
-			t.Errorf("Content-Type %q: status = %d body = %s", ct, rec.Code, rec.Body.String())
 		}
 	}
 }
@@ -461,7 +406,7 @@ func TestCatchAllRouting(t *testing.T) {
 		t.Errorf("index: %d", rec.Code)
 	}
 	// Typo'd paths 404 with the envelope instead of serving the index.
-	for _, path := range []string{"/api/askk", "/v1/nope", "/index.html", "/apiask"} {
+	for _, path := range []string{"/api/ask", "/api/askk", "/v1/nope", "/index.html", "/apiask"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		if rec.Code != http.StatusNotFound {
@@ -907,14 +852,12 @@ func TestPerRouteMetrics(t *testing.T) {
 	s := newCustomServer(t, nil)
 	h := s.Handler()
 	postWith(t, h, "/v1/cypher", `{"query": "RETURN 1"}`, "application/json", "")
-	postWith(t, h, "/api/cypher", `{"query": "RETURN 1"}`, "application/json", "")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/nope", nil))
 
 	snap := s.reg.Snapshot()
 	for _, name := range []string{
 		"server.requests{route=POST /v1/cypher,status=200}",
-		"server.requests{route=POST /api/cypher,status=200}",
 		"server.requests{route=/,status=404}",
 		"server.latency{route=POST /v1/cypher}.count",
 		"server.latency{route=POST /v1/cypher}.sum_us",
@@ -922,28 +865,6 @@ func TestPerRouteMetrics(t *testing.T) {
 	} {
 		if snap[name] < 1 {
 			t.Errorf("%s = %d, want >= 1 (snapshot: %v)", name, snap[name], snap)
-		}
-	}
-}
-
-// TestLegacyResponsesByteCompatible pins the legacy success shapes: the
-// exact JSON keys (and their order) the pre-v1 endpoints produced.
-func TestLegacyResponsesByteCompatible(t *testing.T) {
-	s, _ := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/api/cypher", CypherRequest{Query: "MATCH (c:Country) RETURN count(c) LIMIT 1"})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	body := rec.Body.String()
-	// Key order is struct-field order: columns, rows, stats, truncated —
-	// and stats uses the engine's Go field names, not snake_case.
-	wantPrefix := `{"columns":["count(c)"],"rows":[[`
-	if !strings.HasPrefix(body, wantPrefix) {
-		t.Errorf("legacy /api/cypher body = %q, want prefix %q", body, wantPrefix)
-	}
-	for _, key := range []string{`"stats":{"NodesCreated":0`, `"truncated":false`} {
-		if !strings.Contains(body, key) {
-			t.Errorf("legacy body missing %q: %s", key, body)
 		}
 	}
 }

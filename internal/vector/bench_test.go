@@ -57,8 +57,7 @@ func fixtureFor(b *testing.B, docs int) *retrievalFixture {
 }
 
 // BenchmarkRetrieval compares the exact brute-force scan against the
-// HNSW graph on identical corpora; benchjson derives the
-// exact_over_hnsw speedup per size. The 100k case is the scale
+// HNSW graph on identical corpora, per corpus size. The 100k case is the scale
 // argument and is skipped in -short runs (CI's quick smoke).
 func BenchmarkRetrieval(b *testing.B) {
 	for _, docs := range []int{10_000, 100_000} {
