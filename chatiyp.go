@@ -30,6 +30,7 @@ import (
 	"chatiyp/internal/iyp"
 	"chatiyp/internal/llm"
 	"chatiyp/internal/resilience"
+	"chatiyp/internal/retrieval"
 	"chatiyp/internal/server"
 )
 
@@ -136,6 +137,18 @@ func New(opts Options) (*System, error) {
 // restored from a snapshot). world may be nil; it is only needed by
 // benchmark generation.
 func FromGraph(g *graph.Graph, world *iyp.World, opts Options) (*System, error) {
+	return fromGraph(g, world, nil, opts)
+}
+
+// FromGraphTier is FromGraph for a graph whose retrieval tier the
+// caller already holds — read from a data directory by
+// persist.Store.Retrieval, or made by retrieval.Build — so that the
+// pipeline adopts it instead of building its own.
+func FromGraphTier(g *graph.Graph, tier *retrieval.Tier, opts Options) (*System, error) {
+	return fromGraph(g, nil, tier, opts)
+}
+
+func fromGraph(g *graph.Graph, world *iyp.World, tier *retrieval.Tier, opts Options) (*System, error) {
 	lexicon := core.BuildLexicon(g)
 	simCfg := llm.DefaultSimConfig(lexicon)
 	if opts.Seed != 0 {
@@ -159,6 +172,7 @@ func FromGraph(g *graph.Graph, world *iyp.World, opts Options) (*System, error) 
 		Graph:                 g,
 		Model:                 model,
 		Lexicon:               lexicon,
+		Retrieval:             tier,
 		DisableVectorFallback: opts.DisableVectorFallback,
 		DisableReranker:       opts.DisableReranker,
 		PlanCacheSize:         opts.PlanCacheSize,

@@ -25,6 +25,7 @@ import (
 	"chatiyp/internal/graph"
 	"chatiyp/internal/iyp"
 	"chatiyp/internal/persist"
+	"chatiyp/internal/retrieval"
 	"chatiyp/internal/server"
 )
 
@@ -76,7 +77,7 @@ func main() {
 			VerifyChecksums: true,
 		})
 		if err == nil {
-			sys, err = chatiyp.FromGraph(store.Graph(), nil, opts)
+			sys, err = chatiyp.FromGraphTier(store.Graph(), retrievalTier(logger, store), opts)
 		}
 	} else if *graphIn != "" {
 		var g *chatiyp.Graph
@@ -165,4 +166,18 @@ func openOrInitStore(logger *log.Logger, dir, graphIn string, opts chatiyp.Optio
 		logger.Printf("replayed %d WAL records", n)
 	}
 	return s, nil
+}
+
+// retrievalTier returns the retrieval tier the store read at Open, or
+// builds it when the store has none, and logs which of the two ran.
+func retrievalTier(logger *log.Logger, store *persist.Store) *retrieval.Tier {
+	tier, took, why := store.Retrieval()
+	if tier != nil {
+		logger.Printf("retrieval tier loaded: %d docs in %dms", len(tier.Docs), took.Milliseconds())
+		return tier
+	}
+	start := time.Now()
+	tier = retrieval.Build(store.Graph().View())
+	logger.Printf("retrieval tier built in %.2fs (%v)", time.Since(start).Seconds(), why)
+	return tier
 }

@@ -30,6 +30,7 @@ import (
 	"chatiyp/internal/metrics"
 	"chatiyp/internal/persist"
 	"chatiyp/internal/resilience"
+	"chatiyp/internal/retrieval"
 	"chatiyp/internal/vector"
 )
 
@@ -43,6 +44,12 @@ type Config struct {
 	// already derived it (the simulated model needs one before New can
 	// run); nil means BuildLexicon(Graph).
 	Lexicon *llm.Lexicon
+	// Retrieval is the retrieval tier of Graph when the caller already
+	// holds it (persist.Store.Retrieval reads it from a data directory);
+	// nil means retrieval.Build(Graph.View()). The pipeline adopts it:
+	// the index takes over its docs and slab, so a tier serves one
+	// pipeline.
+	Retrieval *retrieval.Tier
 	// Schema is the schema card included in translation prompts;
 	// empty means iyp.SchemaText().
 	Schema string
@@ -141,10 +148,10 @@ type Pipeline struct {
 }
 
 // New builds a Pipeline: it derives the entity lexicon from the graph
-// (unless the caller passes one), renders the node descriptions, fits
-// the embedder on them and fills the vector index (see buildRetrieval).
-// It reads the graph through Views only, so a cold columnar load stays
-// cold.
+// and builds the retrieval tier — renders the node descriptions, fits
+// the embedder on them and embeds them (see retrieval.Build) — unless
+// the caller passes them, and fills the vector index. It reads the graph
+// through Views only, so a cold columnar load stays cold.
 func New(cfg Config) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Graph == nil {
@@ -168,9 +175,13 @@ func New(cfg Config) (*Pipeline, error) {
 	if p.lexicon == nil {
 		p.lexicon = BuildLexicon(cfg.Graph)
 	}
-	emb, docs, slab := buildRetrieval(cfg.Graph)
-	p.embedder = emb
-	dim := emb.Dim()
+	tier := cfg.Retrieval
+	if tier == nil {
+		tier = retrieval.Build(cfg.Graph.View())
+	}
+	p.embedder = tier.Embedder
+	docs, slab := tier.Docs, tier.Slab
+	dim := p.embedder.Dim()
 	if cfg.ANNRetrieval {
 		// The HNSW graph is built by insertion, one document at a time.
 		p.index = vector.NewHNSW(vector.HNSWConfig{Dim: dim})

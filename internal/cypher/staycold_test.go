@@ -82,9 +82,10 @@ func driveStack(t *testing.T, sys *chatiyp.System, asn int64, extraQueries ...st
 }
 
 // TestColdStaysColdWholeStack boots the stack the way chatiyp-server
-// does on a data directory — persist.Open, chatiyp.FromGraph, the
-// boot-time stats — and drives reads, asks and EXPLAIN through it from
-// several goroutines. None of that may hydrate the cold columnar graph;
+// does on a data directory — persist.Open with its read of the
+// retrieval tier, chatiyp.FromGraphTier, the boot-time stats — and
+// drives reads, asks and EXPLAIN through it from several goroutines.
+// None of that may hydrate the cold columnar graph;
 // the first write must, exactly once; and before and after it every
 // answer must equal the answer of a graph that never was cold.
 func TestColdStaysColdWholeStack(t *testing.T) {
@@ -103,8 +104,14 @@ func TestColdStaysColdWholeStack(t *testing.T) {
 	defer store.Close()
 	cold := store.Graph()
 
+	// Open read and validated the retrieval tier against the cold graph,
+	// and the pipeline adopts it, as chatiyp-server does.
+	tier, _, err := store.Retrieval()
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := chatiyp.Options{Perfect: true}
-	coldSys, err := chatiyp.FromGraph(cold, nil, opts)
+	coldSys, err := chatiyp.FromGraphTier(cold, tier, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

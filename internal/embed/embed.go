@@ -211,22 +211,55 @@ func (e *Embedder) Fit(corpus []string) {
 		df.docs++
 		e.features(doc, func(h uint32, _ uint8) { df.add(h) })
 	}
-	e.setIDF(df.m, int(df.docs))
+	e.setIDF(docFreqs(df.m), int(df.docs))
 }
+
+// DocFreq is the number of documents of a fitted corpus that contain
+// one feature, by the feature's hash.
+type DocFreq struct {
+	Hash uint32
+	N    uint32
+}
+
+// docFreqs lists the document frequencies of m in map order.
+func docFreqs(m map[uint32]dfEntry) []DocFreq {
+	out := make([]DocFreq, 0, len(m))
+	for h, x := range m {
+		out = append(out, DocFreq{Hash: h, N: uint32(x.n)})
+	}
+	return out
+}
+
+// FitDocFreqs installs the IDF weights of document frequencies counted
+// over docs documents: the weights Fit computes from the corpus they
+// were counted in, bit for bit, since both end in setIDF.
+func (e *Embedder) FitDocFreqs(df []DocFreq, docs int) { e.setIDF(df, docs) }
 
 // setIDF installs the weights for document frequencies df over docs
 // documents.
-func (e *Embedder) setIDF(df map[uint32]dfEntry, docs int) {
+func (e *Embedder) setIDF(df []DocFreq, docs int) {
 	e.docs = docs
 	e.unseenIDF = math.Log(1 + float64(docs))
 	e.idf = make(map[uint32]float64, len(df))
-	for h, x := range df {
-		e.idf[h] = math.Log(1 + float64(docs)/float64(1+x.n))
+	for _, x := range df {
+		e.idf[x.Hash] = math.Log(1 + float64(docs)/float64(1+x.N))
 	}
 }
 
 // Fitted reports whether IDF weights are loaded.
 func (e *Embedder) Fitted() bool { return e.idf != nil }
+
+// Config returns the embedder's configuration, Dim filled in.
+func (e *Embedder) Config() Config { return e.cfg }
+
+// IDF returns the weight a fitted embedder gives feature hash h: its
+// inverse document frequency, or the unseen-feature weight.
+func (e *Embedder) IDF(h uint32) float64 {
+	if w, ok := e.idf[h]; ok {
+		return w
+	}
+	return e.unseenIDF
+}
 
 // Embed converts text to an L2-normalized vector. Empty or
 // stopword-only text yields the zero vector.
@@ -292,8 +325,9 @@ func (c *Corpus) Len() int { return len(c.ends) }
 // FitCorpora computes IDF weights over the documents of all the given
 // corpora, exactly as Fit would over their texts in any order: document
 // frequencies are integer counts, so summing the per-corpus counts is
-// independent of how the documents were split.
-func (e *Embedder) FitCorpora(corpora []*Corpus) {
+// independent of how the documents were split. It returns the summed
+// frequencies, in no particular order, for FitDocFreqs to fit again.
+func (e *Embedder) FitCorpora(corpora []*Corpus) []DocFreq {
 	var df map[uint32]dfEntry
 	docs := 0
 	for _, c := range corpora {
@@ -306,7 +340,9 @@ func (e *Embedder) FitCorpora(corpora []*Corpus) {
 			df[h] = dfEntry{n: df[h].n + x.n}
 		}
 	}
-	e.setIDF(df, docs)
+	freqs := docFreqs(df)
+	e.setIDF(freqs, docs)
+	return freqs
 }
 
 // EmbedInto writes the vector Embed would return for document i into

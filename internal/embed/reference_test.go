@@ -1,9 +1,11 @@
 package embed
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -151,9 +153,10 @@ func TestFeaturesMatchReference(t *testing.T) {
 	}
 }
 
-// TestFitAndCorporaMatchReference: Fit, and FitCorpora over the same
-// documents split 1, 2, 3 and 5 ways, give the reference IDF table bit
-// for bit, and Embed and EmbedInto the reference vectors.
+// TestFitAndCorporaMatchReference: Fit, FitCorpora over the same
+// documents split 1, 2, 3 and 5 ways, and FitDocFreqs of the
+// frequencies FitCorpora returns give the reference IDF table bit for
+// bit, and Embed and EmbedInto the reference vectors.
 func TestFitAndCorporaMatchReference(t *testing.T) {
 	corpus := append([]string(nil), referenceTexts...)
 	for i := 0; i < 40; i++ {
@@ -195,8 +198,13 @@ func TestFitAndCorporaMatchReference(t *testing.T) {
 		for i, text := range corpus {
 			corpora[i%parts].Add(text)
 		}
-		e.FitCorpora(corpora)
+		freqs := e.FitCorpora(corpora)
 		sameIDF(fmt.Sprintf("FitCorpora/%d", parts), e)
+		// The returned frequencies fit the same table again, in any order.
+		slices.SortFunc(freqs, func(a, b DocFreq) int { return cmp.Compare(a.Hash, b.Hash) })
+		refit := NewDefault()
+		refit.FitDocFreqs(freqs, len(corpus))
+		sameIDF(fmt.Sprintf("FitDocFreqs/%d", parts), refit)
 		dst := make(Vector, e.Dim())
 		for i, text := range corpus {
 			for j := range dst {

@@ -18,9 +18,8 @@ import (
 // colEncoder builds the deduplicated string and value pools. Strings
 // are interned once and referenced by index everywhere (labels, types,
 // property keys, value payloads, index value-keys); property values
-// are deduplicated by their canonical ValueKey, so a value shared by a
-// million nodes ("US", true, …) is stored and later decoded exactly
-// once.
+// are deduplicated by their encoding, so a value shared by a million
+// nodes ("US", true, …) is stored and later decoded exactly once.
 type colEncoder struct {
 	strIdx  map[string]uint32
 	strOffs []uint32
@@ -54,20 +53,24 @@ func (e *colEncoder) internString(s string) (uint32, error) {
 	return i, nil
 }
 
+// internValue deduplicates by the value's encoding, which is exact
+// about types: ValueKey folds int64 2 and float64 2.0 into one key, as
+// Cypher grouping must, but a snapshot must give each back as it was.
 func (e *colEncoder) internValue(v Value) (uint32, error) {
-	k := ValueKey(v)
-	if i, ok := e.valIdx[k]; ok {
-		return i, nil
-	}
+	start := len(e.valBlob)
 	blob, err := e.encodeValue(e.valBlob, v, 0)
 	if err != nil {
 		return 0, err
+	}
+	if i, ok := e.valIdx[string(blob[start:])]; ok {
+		e.valBlob = blob[:start]
+		return i, nil
 	}
 	if len(blob) > math.MaxUint32 || len(e.valIdx) >= math.MaxUint32 {
 		return 0, fmt.Errorf("graph: columnar: value pool exceeds 4 GiB")
 	}
 	i := uint32(len(e.valIdx))
-	e.valIdx[k] = i
+	e.valIdx[string(blob[start:])] = i
 	e.valBlob = blob
 	e.valOffs = append(e.valOffs, uint32(len(e.valBlob)))
 	return i, nil

@@ -181,6 +181,35 @@ func assertViewMatches(t *testing.T, want, got *Graph) {
 	}
 }
 
+// TestColumnarKeepsNumberTypes: an int64 and a float64 of equal value
+// are one key to Cypher grouping (ValueKey), but a snapshot must give
+// each back with its own type, whichever the pool met first.
+func TestColumnarKeepsNumberTypes(t *testing.T) {
+	g := New()
+	props := []map[string]any{
+		{"n": int64(42), "l": []any{int64(1), 2.0}, "m": map[string]any{"x": int64(3)}},
+		{"n": 42.0, "l": []any{1.0, int64(2)}, "m": map[string]any{"x": 3.0}},
+		{"n": int64(42)},
+	}
+	for _, p := range props {
+		g.MustCreateNode([]string{"N"}, p)
+	}
+	data, err := g.View().MarshalColumnar(ColMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := LoadColumnarBytes(data, ColLoadOptions{VerifyChecksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range g.AllNodeIDs() {
+		want, have := g.Node(id).Props, got.View().Node(id).Props
+		if !reflect.DeepEqual(want, have) {
+			t.Errorf("node %d: props %#v differ in value or type from %#v", id, have, want)
+		}
+	}
+}
+
 func TestColumnarDeterministic(t *testing.T) {
 	g := colTestGraph(t)
 	a, err := g.View().MarshalColumnar(ColMeta{})

@@ -13,16 +13,22 @@ import (
 
 	"chatiyp/internal/graph"
 	"chatiyp/internal/mmap"
+	"chatiyp/internal/retrieval"
 )
 
 // File names inside a data directory.
 const (
 	baseName = "base.iypc"
 	walName  = "wal.iypw"
+	tierName = "retrieval.iypv"
 )
 
 // BasePath returns the base-snapshot path inside dir.
 func BasePath(dir string) string { return filepath.Join(dir, baseName) }
+
+// TierPath returns the retrieval-tier path inside dir: the tier of the
+// base snapshot's graph, stamped with the base's identity.
+func TierPath(dir string) string { return filepath.Join(dir, tierName) }
 
 // WALPath returns the journal path inside dir.
 func WALPath(dir string) string { return filepath.Join(dir, walName) }
@@ -44,10 +50,11 @@ type Options struct {
 }
 
 // Store binds a graph to a data directory: base columnar snapshot +
-// WAL. All writes to the graph after Open are journaled via the write
-// observer (called under the graph mutex, so journal order is apply
-// order); Checkpoint rewrites the base from a pinned View and drops
-// the absorbed journal prefix.
+// WAL, and beside the base the retrieval tier built from it. All writes
+// to the graph after Open are journaled via the write observer (called
+// under the graph mutex, so journal order is apply order); Checkpoint
+// rewrites the tier and the base from one pinned View and drops the
+// absorbed journal prefix.
 type Store struct {
 	dir     string
 	opts    Options
@@ -66,6 +73,12 @@ type Store struct {
 
 	replayed int
 
+	// tier is the retrieval tier Open read, nil when tierErr says why
+	// not; tierRead is how long reading and validating it took.
+	tier     *retrieval.Tier
+	tierErr  error
+	tierRead time.Duration
+
 	ckptMu   sync.Mutex // serializes checkpoints
 	ckptBusy atomic.Bool
 	closed   atomic.Bool
@@ -78,9 +91,9 @@ type Store struct {
 	wg       sync.WaitGroup
 }
 
-// Init seeds dir with a base snapshot of g and a fresh store identity.
-// It fails if dir already holds a base snapshot. The caller typically
-// follows with Open on the same directory.
+// Init seeds dir with a base snapshot of g, its retrieval tier and a
+// fresh store identity. It fails if dir already holds a base snapshot.
+// The caller typically follows with Open on the same directory.
 func Init(dir string, g *graph.Graph) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -99,8 +112,12 @@ func Init(dir string, g *graph.Graph) error {
 	if id == 0 {
 		id = 1 // 0 means "any store" in scanWAL
 	}
+	v := g.View()
+	if err := writeTier(dir, v, retrieval.Stamp{StoreID: id}); err != nil {
+		return err
+	}
 	if err := writeFileAtomic(base, func(f *os.File) error {
-		data, err := g.View().MarshalColumnar(graph.ColMeta{LastSeq: 0, StoreID: id})
+		data, err := v.MarshalColumnar(graph.ColMeta{LastSeq: 0, StoreID: id})
 		if err != nil {
 			return err
 		}
@@ -113,13 +130,31 @@ func Init(dir string, g *graph.Graph) error {
 	return nil
 }
 
-// Open loads the graph from dir (mmap base + replay WAL) and starts
-// journaling all subsequent writes. The returned Store owns the file
-// mapping; it stays mapped for the life of the process because the
-// graph's first epoch aliases it.
+// writeTier builds the retrieval tier of v and writes it to dir under
+// stamp, atomically. Init and Checkpoint write it before the base: a
+// crash between the two leaves a tier whose stamp the base does not
+// carry, which Open reports as stale.
+func writeTier(dir string, v *graph.View, stamp retrieval.Stamp) error {
+	tier := retrieval.Build(v)
+	return writeFileAtomic(TierPath(dir), func(f *os.File) error { return tier.Write(f, stamp) })
+}
+
+// Open loads the graph from dir (mmap base + replay WAL), reads the
+// retrieval tier beside the base (see Retrieval) and starts journaling
+// all subsequent writes. The returned Store owns the file mapping; it
+// stays mapped for the life of the process because the graph's first
+// epoch aliases it.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
+	}
+	// A process that died inside writeFileAtomic or a WAL compaction
+	// left its temp file; the next write would truncate it, but until
+	// then it holds a file's worth of disk.
+	for _, path := range []string{BasePath(dir), TierPath(dir), WALPath(dir)} {
+		if err := os.Remove(path + ".tmp"); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
 	}
 	start := time.Now()
 	mapping, err := mmap.Open(BasePath(dir))
@@ -171,11 +206,32 @@ func Open(dir string, opts Options) (*Store, error) {
 		go s.syncLoop()
 	}
 	graph.RecordLoadNanos(time.Since(start).Nanoseconds())
+
+	// The tier is derived data: whatever is wrong with it, Open goes on
+	// and the caller builds it.
+	if s.replayed > 0 {
+		s.tierErr = fmt.Errorf("%w: replayed %d WAL records", retrieval.ErrStale, s.replayed)
+	} else {
+		start := time.Now()
+		s.tier, s.tierErr = retrieval.Read(TierPath(dir), retrieval.Stamp{StoreID: info.StoreID, LastSeq: info.LastSeq}, g.View())
+		s.tierRead = time.Since(start)
+	}
 	return s, nil
 }
 
 // Graph returns the store's graph.
 func (s *Store) Graph() *graph.Graph { return s.g }
+
+// Retrieval returns the retrieval tier Open read beside the base and
+// how long reading and validating it took. It returns the tier only if
+// the file validated against the base (retrieval.Read) and Open
+// replayed no WAL record, so that it is the tier of Graph as Open
+// returned it; otherwise the tier is nil and the error says why,
+// wrapping retrieval.ErrNoTier, ErrStale, ErrCorrupt or ErrDrift. The
+// tier serves one pipeline (core.Config.Retrieval).
+func (s *Store) Retrieval() (*retrieval.Tier, time.Duration, error) {
+	return s.tier, s.tierRead, s.tierErr
+}
 
 // ReplayCount reports how many WAL records Open replayed.
 func (s *Store) ReplayCount() int { return s.replayed }
@@ -229,10 +285,11 @@ func (s *Store) observe(m graph.Mutation) {
 	}
 }
 
-// Checkpoint rewrites the base snapshot from a freshly pinned View and
-// compacts the journal down to the records the new base does not
-// cover. Concurrent writes keep flowing: they land in the WAL with
-// sequence numbers above the View's and survive compaction.
+// Checkpoint rewrites the retrieval tier and then the base snapshot
+// from one freshly pinned View, and compacts the journal down to the
+// records the new base does not cover. Concurrent writes keep flowing:
+// they land in the WAL with sequence numbers above the View's and
+// survive compaction. Building the tier is most of its cost.
 func (s *Store) Checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
@@ -244,6 +301,9 @@ func (s *Store) Checkpoint() error {
 	// WAL appends — taking them in the opposite order would deadlock.
 	v := s.g.View()
 	seqOfView := s.attachSeq + (v.Version() - s.attachVer)
+	if err := writeTier(s.dir, v, retrieval.Stamp{StoreID: s.storeID, LastSeq: seqOfView}); err != nil {
+		return err
+	}
 	data, err := v.MarshalColumnar(graph.ColMeta{LastSeq: seqOfView, StoreID: s.storeID})
 	if err != nil {
 		return err

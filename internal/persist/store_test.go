@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -336,5 +338,35 @@ func TestStoreCounters(t *testing.T) {
 	}
 	if graph.LastLoadNanos() <= 0 {
 		t.Fatal("graph.load_ns not recorded")
+	}
+}
+
+// TestStoreOpenRemovesStaleTempFiles: a process killed inside an atomic
+// write or a WAL compaction leaves a temp file of the target's size;
+// Open removes those of its own files and nothing else.
+func TestStoreOpenRemovesStaleTempFiles(t *testing.T) {
+	dir := initStoreDir(t)
+	planted := []string{BasePath(dir) + ".tmp", TierPath(dir) + ".tmp", WALPath(dir) + ".tmp"}
+	foreign := filepath.Join(dir, "notes.tmp")
+	for _, path := range append(planted, foreign) {
+		if err := os.WriteFile(path, []byte("half-written"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir, Options{Fsync: FsyncNever, VerifyChecksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, path := range planted {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived Open (stat: %v)", filepath.Base(path), err)
+		}
+	}
+	if _, err := os.Stat(foreign); err != nil {
+		t.Errorf("Open removed a file it does not own: %v", err)
+	}
+	if tier, _, err := s.Retrieval(); tier == nil {
+		t.Errorf("the tier beside the temp files was not read: %v", err)
 	}
 }

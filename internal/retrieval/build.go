@@ -1,4 +1,9 @@
-package core
+// Package retrieval builds the retrieval tier behind ChatIYP's vector
+// fallback — the node descriptions, the embedder fitted on them and
+// their vectors — and stores it in a file beside a data directory's base
+// snapshot (tierfile.go), so that a boot reads the tier instead of
+// rebuilding it.
+package retrieval
 
 import (
 	"runtime"
@@ -11,14 +16,31 @@ import (
 	"chatiyp/internal/vector"
 )
 
+// Tier is the retrieval tier of one graph state. A pipeline adopts it
+// (core.Config.Retrieval): its index takes over Docs and Slab and
+// normalizes the rows in place, so a tier serves one pipeline.
+type Tier struct {
+	// Embedder is fitted on the texts of Docs.
+	Embedder *embed.Embedder
+	// Docs describe the nodes of iyp.DescribableNodes, in that order.
+	Docs []vector.Doc
+	// Slab holds the vector of Docs[i] at [i*dim, (i+1)*dim) as the
+	// embedder computed it, before vector.NewIndexFromSlab normalizes
+	// it again.
+	Slab []float32
+	// DocFreqs are the document frequencies Embedder was fitted on,
+	// counted over len(Docs) documents.
+	DocFreqs []embed.DocFreq
+}
+
 // buildChunk is how many consecutive describable nodes a worker claims
 // at a time: small enough that the long AS descriptions at the low IDs
 // spread over all workers, large enough that claiming costs nothing.
 const buildChunk = 256
 
-// buildRetrieval renders, fits and embeds the node descriptions of g —
-// what iyp.Describe, Embedder.Fit and one Embed per description compute
-// — once, on GOMAXPROCS goroutines, as a two-phase fork-join over
+// Build renders, fits and embeds the node descriptions of v — what
+// iyp.Describe, Embedder.Fit and one Embed per description compute —
+// once, on GOMAXPROCS goroutines, as a two-phase fork-join over
 // ID-ordered chunks of the describable nodes.
 //
 // Phase 1: each worker renders the descriptions of the chunks it claims
@@ -33,8 +55,7 @@ const buildChunk = 256
 // accumulated by one goroutine in Embed's feature order. It is
 // bit-identical to the serial functions, which stay exported as the
 // reference TestParallelBuildEqualsSerial compares against.
-func buildRetrieval(g *graph.Graph) (*embed.Embedder, []vector.Doc, []float32) {
-	view := g.View()
+func Build(view *graph.View) *Tier {
 	nodes := iyp.DescribableNodes(view)
 	emb := embed.NewDefault()
 	dim := emb.Dim()
@@ -62,13 +83,13 @@ func buildRetrieval(g *graph.Graph) (*embed.Embedder, []vector.Doc, []float32) {
 		}
 		corpora[w] = corpus
 	})
-	emb.FitCorpora(corpora)
+	freqs := emb.FitCorpora(corpora)
 	forkJoin(workers, func(w int) {
 		for j, i := range owned[w] {
 			corpora[w].EmbedInto(j, slab[i*dim:(i+1)*dim])
 		}
 	})
-	return emb, docs, slab
+	return &Tier{Embedder: emb, Docs: docs, Slab: slab, DocFreqs: freqs}
 }
 
 // forkJoin runs fn(0) … fn(n-1) concurrently and waits for all of them;

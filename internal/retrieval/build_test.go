@@ -1,19 +1,22 @@
-package core
+package retrieval_test
 
 import (
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"chatiyp/internal/core"
 	"chatiyp/internal/embed"
 	"chatiyp/internal/graph"
 	"chatiyp/internal/iyp"
 	"chatiyp/internal/llm"
+	"chatiyp/internal/retrieval"
 	"chatiyp/internal/vector"
 )
 
@@ -29,7 +32,7 @@ var buildFixture = sync.OnceValue(func() *graph.Graph {
 
 // serialRetrieval is the reference build: iyp.Describe, Embedder.Fit
 // and one Embed and one Add per description, as core.New ran it before
-// it was made parallel.
+// the build was made parallel.
 func serialRetrieval(tb testing.TB, g *graph.Graph) ([]iyp.Description, *embed.Embedder, *vector.Index) {
 	tb.Helper()
 	descs := iyp.Describe(g)
@@ -71,7 +74,7 @@ func sameVectorBits(a, b embed.Vector) bool {
 func TestParallelBuildEqualsSerial(t *testing.T) {
 	g := buildFixture()
 	descs, refEmb, refIndex := serialRetrieval(t, g)
-	if len(descs) < 4*buildChunk {
+	if len(descs) < 4*retrieval.BuildChunk {
 		t.Fatalf("fixture has %d descriptions, too few to spread over workers", len(descs))
 	}
 
@@ -100,7 +103,8 @@ func TestParallelBuildEqualsSerial(t *testing.T) {
 	ctx := context.Background()
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		emb, docs, slab := buildRetrieval(g)
+		tier := retrieval.Build(g.View())
+		emb, docs, slab := tier.Embedder, tier.Docs, tier.Slab
 		if len(docs) != len(descs) {
 			t.Fatalf("GOMAXPROCS %d: %d docs, serial build %d", procs, len(docs), len(descs))
 		}
@@ -140,7 +144,7 @@ func TestParallelBuildEqualsSerial(t *testing.T) {
 	}
 
 	// And through the pipeline core.New assembles, still at 8.
-	p, err := New(Config{Graph: g, Model: llm.NewSim(llm.DefaultSimConfig(BuildLexicon(g)))})
+	p, err := core.New(core.Config{Graph: g, Model: llm.NewSim(llm.DefaultSimConfig(core.BuildLexicon(g)))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +161,10 @@ func TestParallelBuildEqualsSerial(t *testing.T) {
 	}
 }
 
-// BenchmarkPipelineBuild measures the retrieval-tier build of core.New
-// — describe, fit, embed, index — as the serial reference and as the
-// parallel build at the benchmark's -cpu.
+// BenchmarkPipelineBuild measures the retrieval tier core.New indexes
+// — describe, fit, embed, index — three ways: the serial reference, the
+// parallel build at the benchmark's -cpu, and the boot's read of the
+// same tier from its file, validation included.
 func BenchmarkPipelineBuild(b *testing.B) {
 	g := buildFixture()
 	b.Run("serial", func(b *testing.B) {
@@ -171,8 +176,24 @@ func BenchmarkPipelineBuild(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			emb, docs, slab := buildRetrieval(g)
-			if _, err := vector.NewIndexFromSlab(emb.Dim(), docs, slab); err != nil {
+			tier := retrieval.Build(g.View())
+			if _, err := vector.NewIndexFromSlab(tier.Embedder.Dim(), tier.Docs, tier.Slab); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "retrieval.iypv")
+		stamp := retrieval.Stamp{StoreID: 1}
+		writeTier(b, path, retrieval.Build(g.View()), stamp)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tier, err := retrieval.Read(path, stamp, g.View())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := vector.NewIndexFromSlab(tier.Embedder.Dim(), tier.Docs, tier.Slab); err != nil {
 				b.Fatal(err)
 			}
 		}
