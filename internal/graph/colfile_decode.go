@@ -891,7 +891,7 @@ func buildColLabels(rs *readState, lz *colLazy, data []byte, secs map[uint32]col
 		return colErrf("LABEL_META section too short")
 	}
 	count := binary.NativeEndian.Uint64(b)
-	if uint64(len(b)) != 8+count*16 {
+	if count > uint64(len(b)-8)/16 || uint64(len(b)) != 8+count*16 {
 		return colErrf("LABEL_META count %d does not match section size %d", count, len(b))
 	}
 	ib, err := sectionBytes(data, secs, secLabelIDs)
@@ -950,7 +950,8 @@ func buildColIndexes(rs *readState, lz *colLazy, data []byte, secs map[uint32]co
 	}
 	pairCount := binary.NativeEndian.Uint64(b)
 	bucketCount := binary.NativeEndian.Uint64(b[8:])
-	if uint64(len(b)) != 16+pairCount*16+bucketCount*16 {
+	if pairCount > uint64(len(b))/16 || bucketCount > uint64(len(b))/16 ||
+		uint64(len(b)) != 16+pairCount*16+bucketCount*16 {
 		return colErrf("INDEX_META counts (%d pairs, %d buckets) do not match section size %d", pairCount, bucketCount, len(b))
 	}
 	ib, err := sectionBytes(data, secs, secIndexIDs)
