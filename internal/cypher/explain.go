@@ -313,12 +313,8 @@ func accessPath(view *graph.View, np *NodePattern, bound map[string]bool, hints 
 		return "bound variable `" + np.Var + "`"
 	}
 	if !opts.DisableIndexes {
-		for _, label := range np.Labels {
-			for prop := range np.Props {
-				if view.HasIndex(label, prop) {
-					return fmt.Sprintf("property index (%s, %s)", label, prop)
-				}
-			}
+		if label, prop, ok := indexedInlineProp(view, np); ok {
+			return fmt.Sprintf("property index (%s, %s)", label, prop)
 		}
 		if np.Var != "" {
 			if hs := hints[np.Var]; len(hs) > 0 {

@@ -1,8 +1,9 @@
 package cypher
 
 import (
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -84,9 +85,9 @@ func (c *evalCtx) evalFunc(x *FuncCall, row Row) (graph.Value, error) {
 		case nil:
 			return nil, nil
 		case *graph.Node:
-			return copyProps(e.Props), nil
+			return e.Props.Map(), nil
 		case *graph.Relationship:
-			return copyProps(e.Props), nil
+			return e.Props.Map(), nil
 		case map[string]graph.Value:
 			return e, nil
 		default:
@@ -96,24 +97,19 @@ func (c *evalCtx) evalFunc(x *FuncCall, row Row) (graph.Value, error) {
 		if err := arity(1); err != nil {
 			return nil, err
 		}
-		var props map[string]graph.Value
+		var ks []string
 		switch e := args[0].(type) {
 		case nil:
 			return nil, nil
 		case *graph.Node:
-			props = e.Props
+			ks = propKeys(e.Props)
 		case *graph.Relationship:
-			props = e.Props
+			ks = propKeys(e.Props)
 		case map[string]graph.Value:
-			props = e
+			ks = slices.Sorted(maps.Keys(e))
 		default:
 			return nil, evalErrorf("keys() of %T", args[0])
 		}
-		ks := make([]string, 0, len(props))
-		for k := range props {
-			ks = append(ks, k)
-		}
-		sort.Strings(ks)
 		out := make([]graph.Value, len(ks))
 		for i, k := range ks {
 			out[i] = k
@@ -546,10 +542,11 @@ func stringFunc(v graph.Value, f func(string) string) (graph.Value, error) {
 	}
 }
 
-func copyProps(props map[string]graph.Value) map[string]graph.Value {
-	out := make(map[string]graph.Value, len(props))
-	for k, v := range props {
-		out[k] = v
+// propKeys lists an entity's property keys, which Props keeps sorted.
+func propKeys(p graph.Props) []string {
+	ks := make([]string, len(p))
+	for i, e := range p {
+		ks[i] = e.Key
 	}
-	return out
+	return ks
 }

@@ -1,6 +1,9 @@
 package cypher
 
 import (
+	"maps"
+	"slices"
+
 	"chatiyp/internal/graph"
 )
 
@@ -391,7 +394,7 @@ func (m *matcher) bindNode(np *NodePattern, n *graph.Node, row Row) (bool, func(
 		if err != nil {
 			return false, nil, err
 		}
-		have, ok := n.Props[key]
+		have, ok := n.Props.Get(key)
 		if !ok || !graph.ValuesEqual(have, want) {
 			return false, nil, nil
 		}
@@ -440,7 +443,7 @@ func (m *matcher) relPropsMatch(rp *RelPattern, r *graph.Relationship, row Row) 
 		if err != nil {
 			return false, err
 		}
-		have, ok := r.Props[key]
+		have, ok := r.Props.Get(key)
 		if !ok || !graph.ValuesEqual(have, want) {
 			return false, nil
 		}
@@ -464,12 +467,8 @@ func (m *matcher) pickAnchor(pat *Pattern, row Row) int {
 			if len(np.Labels) > 0 && len(np.Props) > 0 {
 				score = 10
 				if !m.ctx.opts.DisableIndexes {
-					for _, l := range np.Labels {
-						for p := range np.Props {
-							if m.ctx.r.HasIndex(l, p) {
-								score = 100
-							}
-						}
+					if _, _, ok := indexedInlineProp(m.ctx.r, np); ok {
+						score = 100
 					}
 				}
 			} else if len(np.Labels) > 0 {
@@ -543,19 +542,12 @@ func (m *matcher) anchorCandidates(np *NodePattern, row Row) (candSet, error) {
 	}
 	// Indexed property lookup.
 	if !m.ctx.opts.DisableIndexes {
-		for _, label := range np.Labels {
-			for prop, expr := range np.Props {
-				if !m.ctx.r.HasIndex(label, prop) {
-					continue
-				}
-				want, err := m.ctx.eval(expr, row)
-				if err != nil {
-					return candSet{}, err
-				}
-				ids, usedIndex := m.ctx.r.NodesByLabelProp(label, prop, want)
-				if !usedIndex {
-					continue
-				}
+		if label, prop, ok := indexedInlineProp(m.ctx.r, np); ok {
+			want, err := m.ctx.eval(np.Props[prop], row)
+			if err != nil {
+				return candSet{}, err
+			}
+			if ids, usedIndex := m.ctx.r.NodesByLabelProp(label, prop, want); usedIndex {
 				return candSet{ids: ids}, nil
 			}
 		}
@@ -588,6 +580,25 @@ func (m *matcher) anchorCandidates(np *NodePattern, row Row) (candSet, error) {
 		return candSet{ids: bestIDs}, nil
 	}
 	return candSet{ids: m.ctx.r.AllNodeIDs()}, nil
+}
+
+// indexedInlineProp picks the (label, property) pair an anchor with
+// inline properties is looked up by: the first indexed pair, labels in
+// pattern order and properties in key order. The matcher and EXPLAIN
+// both ask it, so EXPLAIN names the index the executor probes.
+func indexedInlineProp(r graph.Reader, np *NodePattern) (label, prop string, ok bool) {
+	if len(np.Labels) == 0 || len(np.Props) == 0 {
+		return "", "", false
+	}
+	props := slices.Sorted(maps.Keys(np.Props))
+	for _, l := range np.Labels {
+		for _, p := range props {
+			if r.HasIndex(l, p) {
+				return l, p, true
+			}
+		}
+	}
+	return "", "", false
 }
 
 // hintFor returns the first WHERE-derived index hint usable for this

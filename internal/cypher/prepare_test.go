@@ -239,3 +239,32 @@ func TestIndexScanEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainNamesProbedIndex: with two indexed inline properties on
+// one label, the anchor is looked up by the first in key order, every
+// time, and EXPLAIN names that index.
+func TestExplainNamesProbedIndex(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 4; i++ {
+		g.MustCreateNode([]string{"L"}, map[string]any{"a": int64(i), "b": int64(i + 1)})
+	}
+	g.CreateIndex("L", "b")
+	g.CreateIndex("L", "a")
+	src := "MATCH (n:L {b: 2, a: 1}) RETURN n.a"
+	for i := 0; i < 50; i++ {
+		plan, err := Explain(g, src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "property index (L, a)") || strings.Contains(plan, "property index (L, b)") {
+			t.Fatalf("run %d: plan does not name the (L, a) index:\n%s", i, plan)
+		}
+	}
+	res, err := Execute(g, src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != int64(1) {
+		t.Fatalf("rows = %v, want [[1]]", res.Rows)
+	}
+}

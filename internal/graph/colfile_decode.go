@@ -230,7 +230,7 @@ func LoadColumnarBytes(data []byte, opts ColLoadOptions) (*Graph, *ColInfo, erro
 
 	// Node rows and labels. Label slices are carved eagerly — they are
 	// one string header per label occurrence — so lazy materialization
-	// only ever builds the property map.
+	// only ever builds the property slice.
 	lz.nodeRow = make([]int32, nextNode)
 	labelStrings := make([]string, nodeLabels.total)
 	var prevNode int64
@@ -375,16 +375,36 @@ func (lz *colLazy) rel(rs *readState, id int64) *Relationship {
 	return (*Relationship)(atomic.LoadPointer(slot))
 }
 
-// propsOf materializes entity row i's property map. Values come
-// pre-decoded from the shared pool, so a property occurrence costs one
-// map insert.
-func (lz *colLazy) propsOf(tbl *colOffsets, i int) map[string]Value {
+// propsOf materializes entity row i's properties as one exact-size
+// slice, nil when the row has none. Values come pre-decoded from the
+// shared pool, and the encoder writes each row's keys sorted, so a
+// property occurrence costs one slice element. A row that breaks the
+// Props invariants (a snapshot from another encoder) goes through
+// PropsOf instead: last duplicate wins, nil values drop out.
+func (lz *colLazy) propsOf(tbl *colOffsets, i int) Props {
 	lo, hi := tbl.offs[i], tbl.offs[i+1]
-	props := make(map[string]Value, hi-lo)
+	if lo == hi {
+		return nil
+	}
+	props := make(Props, 0, hi-lo)
 	for p := lo; p < hi; p++ {
-		props[lz.strs.get(tbl.payload[2*p])] = lz.vals[tbl.payload[2*p+1]]
+		k, v := lz.strs.get(tbl.payload[2*p]), lz.vals[tbl.payload[2*p+1]]
+		if v == nil || (len(props) > 0 && props[len(props)-1].Key >= k) {
+			return lz.propsMap(tbl, lo, hi)
+		}
+		props = append(props, Prop{k, v})
 	}
 	return props
+}
+
+// propsMap is propsOf's path for rows that are unsorted, repeat a key
+// or hold a nil value.
+func (lz *colLazy) propsMap(tbl *colOffsets, lo, hi uint32) Props {
+	m := make(map[string]Value, hi-lo)
+	for p := lo; p < hi; p++ {
+		m[lz.strs.get(tbl.payload[2*p])] = lz.vals[tbl.payload[2*p+1]]
+	}
+	return PropsOf(m)
 }
 
 // validatePropRefs bounds-checks every (keyRef, valRef) pair of a
@@ -402,10 +422,12 @@ func validatePropRefs(what string, tbl *colOffsets, strs *colStrings, vals []Val
 }
 
 // hydrateLocked materializes the mutable maps of a cold columnar graph
-// from its published lazy epoch: live entity structs (sharing Labels
-// slices and Props maps with the epoch copies, per the copy-on-write
-// contract in view.go), adjacency lists, label sets, and property-index
-// postings. Caller holds g.mu exclusively; runs at most once.
+// from its published lazy epoch: live entity structs (sharing the
+// Labels slices and immutable Props with the epoch copies, per the
+// copy-on-write contract in view.go), adjacency lists, label sets, and
+// property-index postings. Entities no reader has materialized yet are
+// built here, with one exact-size property slice each. Caller holds
+// g.mu exclusively; runs at most once.
 func (g *Graph) hydrateLocked() {
 	if !g.cold.Load() {
 		return

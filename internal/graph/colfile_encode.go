@@ -27,7 +27,6 @@ type colEncoder struct {
 	valIdx  map[string]uint32
 	valOffs []uint32
 	valBlob []byte
-	keys    []string // scratch for sorted property-key iteration
 }
 
 func newColEncoder() *colEncoder {
@@ -135,17 +134,6 @@ func (e *colEncoder) encodeValue(dst []byte, v Value, depth int) ([]byte, error)
 	}
 }
 
-// sortedPropKeys returns props' keys sorted, reusing the encoder's
-// scratch slice.
-func (e *colEncoder) sortedPropKeys(props map[string]Value) []string {
-	e.keys = e.keys[:0]
-	for k := range props {
-		e.keys = append(e.keys, k)
-	}
-	sort.Strings(e.keys)
-	return e.keys
-}
-
 // MarshalColumnar serializes the pinned epoch into the columnar
 // snapshot format. The graph lock is not touched: the epoch is
 // immutable, so concurrent writers proceed while a checkpoint encodes.
@@ -170,14 +158,14 @@ func (v *View) MarshalColumnar(meta ColMeta) ([]byte, error) {
 			labelRefs = append(labelRefs, ref)
 		}
 		labelOffs = append(labelOffs, uint32(len(labelRefs)))
-		for _, k := range e.sortedPropKeys(node.Props) {
-			kr, err := e.internString(k)
+		for _, p := range node.Props {
+			kr, err := e.internString(p.Key)
 			if err != nil {
 				return nil, err
 			}
-			vr, err := e.internValue(node.Props[k])
+			vr, err := e.internValue(p.Val)
 			if err != nil {
-				return nil, fmt.Errorf("node %d property %q: %w", id, k, err)
+				return nil, fmt.Errorf("node %d property %q: %w", id, p.Key, err)
 			}
 			propPairs = append(propPairs, kr, vr)
 		}
@@ -208,14 +196,14 @@ func (v *View) MarshalColumnar(meta ColMeta) ([]byte, error) {
 		typeRefs = append(typeRefs, tr)
 		starts = append(starts, r.StartID)
 		ends = append(ends, r.EndID)
-		for _, k := range e.sortedPropKeys(r.Props) {
-			kr, err := e.internString(k)
+		for _, p := range r.Props {
+			kr, err := e.internString(p.Key)
 			if err != nil {
 				return nil, err
 			}
-			vr, err := e.internValue(r.Props[k])
+			vr, err := e.internValue(p.Val)
 			if err != nil {
-				return nil, fmt.Errorf("relationship %d property %q: %w", r.ID, k, err)
+				return nil, fmt.Errorf("relationship %d property %q: %w", r.ID, p.Key, err)
 			}
 			relPropPairs = append(relPropPairs, kr, vr)
 		}

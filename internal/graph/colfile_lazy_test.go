@@ -52,7 +52,7 @@ func TestColumnarLazyViewReadsStayCold(t *testing.T) {
 		t.Fatalf("indexed lookup = %v (indexed=%v), want one hit", ids, indexed)
 	}
 	n := v.Node(ids[0])
-	if n == nil || n.Props["name"] != "AS 7" {
+	if n == nil || n.Prop("name") != "AS 7" {
 		t.Fatalf("lazy node = %v, want AS 7", n)
 	}
 	if n2 := v.Node(ids[0]); n2 != n {

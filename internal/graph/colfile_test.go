@@ -89,7 +89,7 @@ func assertGraphsEquivalent(t *testing.T, want, got *Graph) {
 		if !reflect.DeepEqual(wn.Labels, gn.Labels) && !(len(wn.Labels) == 0 && len(gn.Labels) == 0) {
 			t.Fatalf("node %d labels: want %v got %v", id, wn.Labels, gn.Labels)
 		}
-		if !ValuesEqual(wn.Props, gn.Props) {
+		if !propsEqual(wn.Props, gn.Props) {
 			t.Fatalf("node %d props: want %v got %v", id, wn.Props, gn.Props)
 		}
 		for _, dir := range []Direction{Outgoing, Incoming, Both} {
@@ -109,14 +109,14 @@ func assertGraphsEquivalent(t *testing.T, want, got *Graph) {
 		if gr == nil {
 			t.Fatalf("rel %d missing", id)
 		}
-		if wr.Type != gr.Type || wr.StartID != gr.StartID || wr.EndID != gr.EndID || !ValuesEqual(wr.Props, gr.Props) {
+		if wr.Type != gr.Type || wr.StartID != gr.StartID || wr.EndID != gr.EndID || !propsEqual(wr.Props, gr.Props) {
 			t.Fatalf("rel %d mismatch: want %+v got %+v", id, wr, gr)
 		}
 	}
 	// Indexed lookups answer identically (and both from the index).
 	for _, ix := range want.Indexes() {
 		for _, id := range want.NodesByLabel(ix[0]) {
-			v, ok := want.Node(id).Props[ix[1]]
+			v, ok := want.Node(id).Props.Get(ix[1])
 			if !ok {
 				continue
 			}
@@ -175,7 +175,7 @@ func assertViewMatches(t *testing.T, want, got *Graph) {
 	v := got.View()
 	for _, id := range want.AllNodeIDs() {
 		n := v.Node(id)
-		if n == nil || !ValuesEqual(want.Node(id).Props, n.Props) {
+		if n == nil || !propsEqual(want.Node(id).Props, n.Props) {
 			t.Fatalf("view node %d diverged", id)
 		}
 	}

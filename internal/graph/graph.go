@@ -17,13 +17,14 @@ var (
 	ErrHasRels      = errors.New("graph: node still has relationships")
 )
 
-// Node is a graph vertex. Labels are kept sorted; Props maps property
-// names to normalized values. Nodes are owned by their Graph: mutate them
-// only through the Graph API so indexes stay consistent.
+// Node is a graph vertex. Labels are kept sorted; Props holds the
+// normalized property values in key order. Nodes are owned by their
+// Graph: mutate them only through the Graph API so indexes stay
+// consistent.
 type Node struct {
 	ID     int64
 	Labels []string
-	Props  map[string]Value
+	Props  Props
 }
 
 // HasLabel reports whether the node carries the given label.
@@ -37,7 +38,10 @@ func (n *Node) HasLabel(label string) bool {
 }
 
 // Prop returns the named property, or nil when absent.
-func (n *Node) Prop(name string) Value { return n.Props[name] }
+func (n *Node) Prop(name string) Value {
+	v, _ := n.Props.Get(name)
+	return v
+}
 
 // String renders the node in Cypher-ish notation: (:AS {asn: 2497}).
 func (n *Node) String() string {
@@ -49,7 +53,7 @@ func (n *Node) String() string {
 	}
 	if len(n.Props) > 0 {
 		b.WriteByte(' ')
-		b.WriteString(FormatValue(n.Props))
+		b.WriteString(FormatValue(n.Props.Map()))
 	}
 	b.WriteByte(')')
 	return b.String()
@@ -61,11 +65,14 @@ type Relationship struct {
 	Type    string
 	StartID int64
 	EndID   int64
-	Props   map[string]Value
+	Props   Props
 }
 
 // Prop returns the named property, or nil when absent.
-func (r *Relationship) Prop(name string) Value { return r.Props[name] }
+func (r *Relationship) Prop(name string) Value {
+	v, _ := r.Props.Get(name)
+	return v
+}
 
 // String renders the relationship as [:TYPE {props}].
 func (r *Relationship) String() string {
@@ -74,7 +81,7 @@ func (r *Relationship) String() string {
 	b.WriteString(r.Type)
 	if len(r.Props) > 0 {
 		b.WriteByte(' ')
-		b.WriteString(FormatValue(r.Props))
+		b.WriteString(FormatValue(r.Props.Map()))
 	}
 	b.WriteByte(']')
 	return b.String()
@@ -318,18 +325,16 @@ func (g *Graph) MustCreateRelationship(startID, endID int64, relType string, pro
 	return r
 }
 
-func normalizeProps(props map[string]any) (map[string]Value, error) {
+func normalizeProps(props map[string]any) (Props, error) {
 	norm := make(map[string]Value, len(props))
 	for k, v := range props {
 		nv, err := NormalizeValue(v)
 		if err != nil {
 			return nil, fmt.Errorf("property %q: %w", k, err)
 		}
-		if nv != nil {
-			norm[k] = nv
-		}
+		norm[k] = nv
 	}
-	return norm, nil
+	return PropsOf(norm), nil
 }
 
 // Node returns the node with the given ID, or nil when absent.
@@ -608,33 +613,11 @@ func (g *Graph) SetNodeProp(nodeID int64, key string, value any) error {
 func (g *Graph) setNodePropLocked(n *Node, key string, nv Value) {
 	g.version.Add(1)
 	g.unindexNodeLocked(n)
-	if g.tracking() {
-		// Copy-on-write: a published epoch may share this props map, so
-		// replace it wholesale rather than mutate it under a lock-free
-		// reader. Before the first snapshot, in-place is fine.
-		n.Props = propsWith(n.Props, key, nv)
-	} else if nv == nil {
-		delete(n.Props, key)
-	} else {
-		n.Props[key] = nv
-	}
+	// Props are immutable (a published epoch may share them), so every
+	// write installs a new set.
+	n.Props = n.Props.With(key, nv)
 	g.indexNodeLocked(n)
 	g.noteNodeLocked(n.ID)
-}
-
-// propsWith returns a fresh map equal to props with key set to nv (or
-// removed when nv is nil).
-func propsWith(props map[string]Value, key string, nv Value) map[string]Value {
-	out := make(map[string]Value, len(props)+1)
-	for k, v := range props {
-		out[k] = v
-	}
-	if nv == nil {
-		delete(out, key)
-	} else {
-		out[key] = nv
-	}
-	return out
 }
 
 // SetRelProp sets (or removes, with nil) a relationship property.
@@ -659,13 +642,7 @@ func (g *Graph) SetRelProp(relID int64, key string, value any) error {
 // Caller holds g.mu and notifies the observer itself.
 func (g *Graph) setRelPropLocked(r *Relationship, key string, nv Value) {
 	g.version.Add(1)
-	if g.tracking() {
-		r.Props = propsWith(r.Props, key, nv) // COW, see SetNodeProp
-	} else if nv == nil {
-		delete(r.Props, key)
-	} else {
-		r.Props[key] = nv
-	}
+	r.Props = r.Props.With(key, nv) // immutable, see setNodePropLocked
 	// Only the relationship copy is stale: adjacency buckets hold rel
 	// IDs resolved through the epoch's relationship table, so a
 	// prop-only change needs no adjacency rebuild on either endpoint.

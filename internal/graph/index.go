@@ -33,7 +33,7 @@ func (g *Graph) createIndexLocked(label, property string) bool {
 	// Backfill existing nodes.
 	for id := range g.byLabel[label] {
 		n := g.nodes[id]
-		if v, ok := n.Props[property]; ok {
+		if v, ok := n.Props.Get(property); ok {
 			g.addToIndexLocked(label, property, v, id)
 		}
 	}
@@ -99,7 +99,7 @@ func (g *Graph) NodesByLabelProp(label, property string, value any) ([]int64, bo
 	var out []int64
 	for _, id := range g.NodesByLabel(label) {
 		n := g.Node(id)
-		if v, ok := n.Props[property]; ok && ValuesEqual(v, nv) {
+		if v, ok := n.Props.Get(property); ok && ValuesEqual(v, nv) {
 			out = append(out, id)
 		}
 	}
@@ -115,7 +115,7 @@ func (g *Graph) indexNodeLocked(n *Node) {
 			if !on {
 				continue
 			}
-			if v, ok := n.Props[p]; ok {
+			if v, ok := n.Props.Get(p); ok {
 				g.addToIndexLocked(label, p, v, n.ID)
 			}
 		}
@@ -131,7 +131,7 @@ func (g *Graph) unindexNodeLocked(n *Node) {
 			if !on {
 				continue
 			}
-			if v, ok := n.Props[p]; ok {
+			if v, ok := n.Props.Get(p); ok {
 				key := ValueKey(v)
 				bucket := g.propIndex[label][p][key]
 				g.propIndex[label][p][key] = removeID(bucket, n.ID)

@@ -56,10 +56,10 @@ func (g *Graph) WriteJSONLines(w io.Writer) error {
 	return bw.Flush()
 }
 
-func propsToJSON(props map[string]Value) map[string]any {
+func propsToJSON(props Props) map[string]any {
 	out := make(map[string]any, len(props))
-	for k, v := range props {
-		out[k] = v
+	for _, p := range props {
+		out[p.Key] = p.Val
 	}
 	return out
 }
@@ -171,8 +171,8 @@ func ReadJSONLines(r io.Reader) (*Graph, error) {
 
 // jsonToProps normalizes decoded JSON values: numbers arrive as
 // float64; integral floats become int64 so round-trips preserve the
-// canonical representation.
-func jsonToProps(raw map[string]any) (map[string]Value, error) {
+// canonical representation. A null property is no property.
+func jsonToProps(raw map[string]any) (Props, error) {
 	out := make(map[string]Value, len(raw))
 	for k, v := range raw {
 		nv, err := normalizeJSON(v)
@@ -181,7 +181,7 @@ func jsonToProps(raw map[string]any) (map[string]Value, error) {
 		}
 		out[k] = nv
 	}
-	return out, nil
+	return PropsOf(out), nil
 }
 
 func normalizeJSON(v any) (Value, error) {

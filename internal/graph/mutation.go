@@ -65,18 +65,18 @@ func (k MutKind) String() string {
 // so the journal carries one record per Graph.Version() increment.
 type Mutation struct {
 	Kind    MutKind
-	NodeID  int64            // node operations
-	RelID   int64            // relationship operations
-	StartID int64            // MutCreateRel
-	EndID   int64            // MutCreateRel
-	RelType string           // MutCreateRel
-	Labels  []string         // MutCreateNode
-	Label   string           // MutAddLabel, MutRemoveLabel, MutCreateIndex
-	Prop    string           // MutCreateIndex
-	Key     string           // MutSetNodeProp, MutSetRelProp
-	Value   Value            // MutSetNodeProp, MutSetRelProp (nil removes)
-	Props   map[string]Value // MutCreateNode, MutCreateRel
-	Detach  bool             // MutDeleteNode
+	NodeID  int64    // node operations
+	RelID   int64    // relationship operations
+	StartID int64    // MutCreateRel
+	EndID   int64    // MutCreateRel
+	RelType string   // MutCreateRel
+	Labels  []string // MutCreateNode
+	Label   string   // MutAddLabel, MutRemoveLabel, MutCreateIndex
+	Prop    string   // MutCreateIndex
+	Key     string   // MutSetNodeProp, MutSetRelProp
+	Value   Value    // MutSetNodeProp, MutSetRelProp (nil removes)
+	Props   Props    // MutCreateNode, MutCreateRel
+	Detach  bool     // MutDeleteNode
 }
 
 // SetWriteObserver registers fn to be called for every applied
@@ -84,9 +84,9 @@ type Mutation struct {
 // while the graph mutex is held — mutations arrive in apply order and
 // the observed entity containers are stable for the duration of the
 // call — so it must be fast and must never call back into the graph.
-// Slices and maps inside the Mutation are shared with live graph
-// state: observers must treat them as read-only and not retain them
-// past the call (encode, then return).
+// Slices inside the Mutation are shared with live graph state:
+// observers must treat them as read-only and not retain them past the
+// call (encode, then return).
 func (g *Graph) SetWriteObserver(fn func(Mutation)) {
 	g.mu.Lock()
 	g.obs = fn
@@ -119,14 +119,10 @@ func (g *Graph) ApplyMutation(m Mutation) error {
 		if _, ok := g.nodes[m.NodeID]; ok {
 			return fmt.Errorf("graph: apply %s: node %d already exists", m.Kind, m.NodeID)
 		}
-		props := m.Props
-		if props == nil {
-			props = make(map[string]Value)
-		}
 		ls := append([]string(nil), m.Labels...)
 		sort.Strings(ls)
 		g.version.Add(1)
-		n := &Node{ID: m.NodeID, Labels: ls, Props: props}
+		n := &Node{ID: m.NodeID, Labels: ls, Props: m.Props}
 		g.nodes[n.ID] = n
 		if n.ID >= g.nextNode {
 			g.nextNode = n.ID + 1
@@ -157,12 +153,8 @@ func (g *Graph) ApplyMutation(m Mutation) error {
 		if _, ok := g.nodes[m.EndID]; !ok {
 			return fmt.Errorf("graph: apply %s: %w: end %d", m.Kind, ErrNodeNotFound, m.EndID)
 		}
-		props := m.Props
-		if props == nil {
-			props = make(map[string]Value)
-		}
 		g.version.Add(1)
-		r := &Relationship{ID: m.RelID, Type: m.RelType, StartID: m.StartID, EndID: m.EndID, Props: props}
+		r := &Relationship{ID: m.RelID, Type: m.RelType, StartID: m.StartID, EndID: m.EndID, Props: m.Props}
 		g.rels[r.ID] = r
 		if r.ID >= g.nextRel {
 			g.nextRel = r.ID + 1

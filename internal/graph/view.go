@@ -255,7 +255,7 @@ func (v *View) NodesByLabelProp(label, property string, value any) ([]int64, boo
 		if n == nil {
 			continue
 		}
-		if pv, ok := n.Props[property]; ok && ValuesEqual(pv, nv) {
+		if pv, ok := n.Props.Get(property); ok && ValuesEqual(pv, nv) {
 			out = append(out, id)
 		}
 	}
@@ -617,13 +617,13 @@ func buildDirAdj(rs *readState, ids []int64) dirAdj {
 }
 
 // copyNode and copyRel make the epoch's decoupled entity copies.
-// They are shallow struct copies: the Labels slice and Props map are
-// shared with the live entity, which is safe because once a snapshot
-// exists every mutator replaces those containers wholesale instead of
-// mutating them in place (see the copy-on-write blocks in SetNodeProp
-// and friends). Sharing keeps the epoch's GC footprint to a few words
-// per entity — deep-copying every props map would double the live
-// heap and tax every GC cycle of an otherwise read-only process.
+// They are shallow struct copies: the Labels and Props slices are
+// shared with the live entity, which is safe because every mutator
+// replaces them wholesale instead of mutating them in place (Props is
+// immutable; see setNodePropLocked and addNodeLabelLocked). Sharing
+// keeps the epoch's GC footprint to a few words per entity — deep-
+// copying every property set would double the live heap and tax every
+// GC cycle of an otherwise read-only process.
 func copyNode(n *Node) *Node {
 	cp := *n
 	return &cp

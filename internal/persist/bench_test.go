@@ -174,7 +174,7 @@ func BenchmarkQueryAtScale(b *testing.B) {
 	if len(ids) == 0 {
 		b.Fatal("no AS nodes")
 	}
-	asn, _ = g.Node(ids[len(ids)/2]).Props["asn"].(int64)
+	asn, _ = g.Node(ids[len(ids)/2]).Prop("asn").(int64)
 	queries := map[string]string{
 		"point-lookup": fmt.Sprintf("MATCH (a:AS {asn:%d}) RETURN a.asn", asn),
 		"one-hop":      fmt.Sprintf("MATCH (:AS {asn:%d})-[:ORIGINATE]->(p:Prefix) RETURN count(p)", asn),

@@ -64,7 +64,7 @@ func scriptedWrites(t testing.TB, g *graph.Graph, n int) func(tb testing.TB, g2 
 				if nd == nil {
 					tb.Fatalf("acknowledged write %d (node %d) lost", i, st.node)
 				}
-				if got := nd.Props["asn"]; got != st.asn {
+				if got := nd.Prop("asn"); got != st.asn {
 					tb.Fatalf("write %d: asn = %v", i, got)
 				}
 				ids, ok := g2.NodesByLabelProp("AS", "asn", st.asn)

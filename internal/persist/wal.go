@@ -12,9 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"chatiyp/internal/graph"
@@ -550,12 +552,14 @@ func appendWALString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func appendWALProps(dst []byte, props map[string]graph.Value) ([]byte, error) {
+// appendWALProps writes props in their (sorted) key order, so one
+// mutation always encodes to the same bytes.
+func appendWALProps(dst []byte, props graph.Props) ([]byte, error) {
 	dst = binary.NativeEndian.AppendUint32(dst, uint32(len(props)))
 	var err error
-	for k, v := range props {
-		dst = appendWALString(dst, k)
-		if dst, err = appendWALValue(dst, v, 0); err != nil {
+	for _, p := range props {
+		dst = appendWALString(dst, p.Key)
+		if dst, err = appendWALValue(dst, p.Val, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -607,9 +611,9 @@ func appendWALValue(dst []byte, v graph.Value, depth int) ([]byte, error) {
 	case map[string]graph.Value:
 		dst = binary.NativeEndian.AppendUint32(append(dst, wvMap), uint32(len(t)))
 		var err error
-		for k, el := range t {
+		for _, k := range slices.Sorted(maps.Keys(t)) {
 			dst = appendWALString(dst, k)
-			if dst, err = appendWALValue(dst, el, depth+1); err != nil {
+			if dst, err = appendWALValue(dst, t[k], depth+1); err != nil {
 				return nil, err
 			}
 		}
@@ -644,7 +648,9 @@ func readWALString(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-func readWALProps(b []byte) (map[string]graph.Value, []byte, error) {
+// readWALProps reads a property list in whatever order it was written
+// (older journals wrote map order) and returns it as sorted Props.
+func readWALProps(b []byte) (graph.Props, []byte, error) {
 	n, b, err := readWALUint32(b)
 	if err != nil {
 		return nil, nil, err
@@ -667,7 +673,7 @@ func readWALProps(b []byte) (map[string]graph.Value, []byte, error) {
 		}
 		props[k] = v
 	}
-	return props, b, nil
+	return graph.PropsOf(props), b, nil
 }
 
 func readWALValue(b []byte, depth int) (graph.Value, []byte, error) {

@@ -14,16 +14,16 @@ import (
 
 func testMutations() []graph.Mutation {
 	return []graph.Mutation{
-		{Kind: graph.MutCreateNode, NodeID: 1, Labels: []string{"AS", "Resource"}, Props: map[string]graph.Value{
+		{Kind: graph.MutCreateNode, NodeID: 1, Labels: []string{"AS", "Resource"}, Props: graph.PropsOf(map[string]graph.Value{
 			"asn":    int64(64500),
 			"name":   "AS-EXAMPLE",
 			"score":  3.25,
 			"active": true,
 			"tags":   []graph.Value{"tier1", int64(9), nil},
 			"meta":   map[string]graph.Value{"src": "test", "rank": int64(1)},
-		}},
+		})},
 		{Kind: graph.MutCreateNode, NodeID: 2, Labels: nil, Props: nil},
-		{Kind: graph.MutCreateRel, RelID: 1, StartID: 1, EndID: 2, RelType: "DEPENDS_ON", Props: map[string]graph.Value{"hege": 0.5}},
+		{Kind: graph.MutCreateRel, RelID: 1, StartID: 1, EndID: 2, RelType: "DEPENDS_ON", Props: graph.Props{{Key: "hege", Val: 0.5}}},
 		{Kind: graph.MutSetNodeProp, NodeID: 1, Key: "name", Value: "renamed"},
 		{Kind: graph.MutSetNodeProp, NodeID: 1, Key: "score", Value: nil},
 		{Kind: graph.MutSetRelProp, RelID: 1, Key: "hege", Value: 0.75},
@@ -290,4 +290,64 @@ func FuzzWALScan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWALPropsDeterministic: one CREATE journals to one byte string,
+// however the caller's property map happens to iterate.
+func TestWALPropsDeterministic(t *testing.T) {
+	var first []byte
+	for i := 0; i < 20; i++ {
+		g := graph.New()
+		var rec []byte
+		g.SetWriteObserver(func(m graph.Mutation) {
+			var err error
+			if rec, err = encodeWALRecord(nil, 1, m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		g.MustCreateNode([]string{"AS"}, map[string]any{
+			"asn": int64(2497), "name": "IIJ", "meta": map[string]any{"src": "bgp", "rank": int64(1), "live": true},
+		})
+		if i == 0 {
+			first = rec
+		} else if !bytes.Equal(rec, first) {
+			t.Fatalf("encoding %d differs from the first:\n%x\n%x", i, rec, first)
+		}
+	}
+}
+
+// TestWALPropsUnsortedReplay: a record whose properties are not in key
+// order (journals written before Props was sorted used map order)
+// replays to the sorted property set.
+func TestWALPropsUnsortedReplay(t *testing.T) {
+	rec := binary.NativeEndian.AppendUint64(nil, 1) // seq
+	rec = append(rec, byte(graph.MutCreateNode))
+	rec = binary.NativeEndian.AppendUint64(rec, 1) // node ID
+	rec = binary.NativeEndian.AppendUint32(rec, 0) // labels
+	rec = binary.NativeEndian.AppendUint32(rec, 3) // properties
+	for _, kv := range []struct {
+		k string
+		v int64
+	}{{"name", 3}, {"asn", 1}, {"cc", 2}} {
+		rec = appendWALString(rec, kv.k)
+		var err error
+		if rec, err = appendWALValue(rec, kv.v, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := decodeWALRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := graph.Props{{Key: "asn", Val: int64(1)}, {Key: "cc", Val: int64(2)}, {Key: "name", Val: int64(3)}}
+	if !reflect.DeepEqual(got.mut.Props, want) {
+		t.Fatalf("decoded props %v, want %v", got.mut.Props, want)
+	}
+	g := graph.New()
+	if err := g.ApplyMutation(got.mut); err != nil {
+		t.Fatal(err)
+	}
+	if n := g.Node(1); n == nil || !reflect.DeepEqual(n.Props, want) {
+		t.Fatalf("replayed node %v, want props %v", n, want)
+	}
 }
