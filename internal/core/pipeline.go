@@ -892,11 +892,13 @@ func (p *Pipeline) Metrics() *metrics.Registry {
 	// Snapshot-read-path counters (per-graph, mirrored like the rest):
 	// view_pins counts epoch pins (one per read-only execution, plus
 	// construction-time walks); snapshot_publishes counts epochs
-	// actually rebuilt — the write-churn readers observed. A large
+	// actually rebuilt — the write-churn readers observed — and
+	// publish_ns the wall time those builds took. A large
 	// pins/publishes ratio means reads are running lock-free.
-	pins, publishes := p.cfg.Graph.SnapshotStats()
+	pins, publishes, publishNanos := p.cfg.Graph.SnapshotStats()
 	p.metrics.Counter("graph.view_pins").Set(pins)
 	p.metrics.Counter("graph.snapshot_publishes").Set(publishes)
+	p.metrics.Counter("graph.publish_ns").Set(publishNanos)
 	// Retrieval-tier counters: ann_searches is process-global (every
 	// HNSW search, retrieval or cache probe); the semcache counters are
 	// per-pipeline and read zero while the cache is disabled so the

@@ -140,8 +140,8 @@ func TestColdStaysColdWholeStack(t *testing.T) {
 	if n, _ := cold.HydrationStats(); n != 0 {
 		t.Fatal("boot, stats, reads, asks or EXPLAIN hydrated the cold graph")
 	}
-	if c := coldSys.Pipeline().Metrics().Snapshot(); c["graph.hydrations"] != 0 || c["graph.hydrate_ns"] != 0 {
-		t.Fatalf("metrics report a hydration that did not happen: %v / %v", c["graph.hydrations"], c["graph.hydrate_ns"])
+	if c := coldSys.Pipeline().Metrics().Snapshot(); c["graph.hydrations"] != 0 || c["graph.hydrate_ns"] != 0 || c["graph.publish_ns"] != 0 {
+		t.Fatalf("metrics report a hydration or publish that did not happen: %v / %v / %v", c["graph.hydrations"], c["graph.hydrate_ns"], c["graph.publish_ns"])
 	}
 
 	const write = "CREATE (n:StayCold {id: 1})"
@@ -162,5 +162,10 @@ func TestColdStaysColdWholeStack(t *testing.T) {
 	}
 	if n, _ := cold.HydrationStats(); n != 1 {
 		t.Fatalf("hydrations = %d after more reads, want 1", n)
+	}
+	// The read-back published the write's epoch, and the build time
+	// shows up next to the publish count.
+	if c := coldSys.Pipeline().Metrics().Snapshot(); c["graph.snapshot_publishes"] < 2 || c["graph.publish_ns"] <= 0 {
+		t.Fatalf("metrics after the read-back: snapshot_publishes %v, publish_ns %v", c["graph.snapshot_publishes"], c["graph.publish_ns"])
 	}
 }

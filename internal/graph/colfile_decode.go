@@ -274,8 +274,8 @@ func LoadColumnarBytes(data []byte, opts ColLoadOptions) (*Graph, *ColInfo, erro
 		}
 	}
 
-	rs.nodes = make([]*Node, nextNode)
-	rs.rels = make([]*Relationship, nextRel)
+	rs.nodes = newTable[*Node](nextNode)
+	rs.rels = newTable[*Relationship](nextRel)
 	rs.lazy = lz
 
 	// Adjacency: the epoch aliases the flat column directly.
@@ -334,7 +334,7 @@ func (lz *colLazy) nodePresent(id int64) bool {
 // it on first access. Concurrent callers may build duplicates; the CAS
 // picks one winner, so pointer identity is stable across readers.
 func (lz *colLazy) node(rs *readState, id int64) *Node {
-	slot := (*unsafe.Pointer)(unsafe.Pointer(&rs.nodes[id]))
+	slot := (*unsafe.Pointer)(unsafe.Pointer(rs.nodes.at(id)))
 	if p := atomic.LoadPointer(slot); p != nil {
 		return (*Node)(p)
 	}
@@ -353,7 +353,7 @@ func (lz *colLazy) node(rs *readState, id int64) *Node {
 
 // rel is the relationship counterpart of node.
 func (lz *colLazy) rel(rs *readState, id int64) *Relationship {
-	slot := (*unsafe.Pointer)(unsafe.Pointer(&rs.rels[id]))
+	slot := (*unsafe.Pointer)(unsafe.Pointer(rs.rels.at(id)))
 	if p := atomic.LoadPointer(slot); p != nil {
 		return (*Relationship)(p)
 	}
@@ -428,6 +428,14 @@ func validatePropRefs(what string, tbl *colOffsets, strs *colStrings, vals []Val
 // property-index postings. Entities no reader has materialized yet are
 // built here, with one exact-size property slice each. Caller holds
 // g.mu exclusively; runs at most once.
+//
+// It also replaces the published epoch with the same epoch fully
+// materialized, which every later publish builds on. The entity tables
+// are the one part that gets fresh pages: a reader still on the cold
+// epoch may have loaded a nil slot before hydration filled it, and its
+// (failing) CAS into that slot can come at any later time, so no other
+// epoch may read those slots without atomics. The canonical entities,
+// the mmap-aliased adjacency, the postings and the index are shared.
 func (g *Graph) hydrateLocked() {
 	if !g.cold.Load() {
 		return
@@ -436,25 +444,33 @@ func (g *Graph) hydrateLocked() {
 	rs := g.published.Load()
 	lz := rs.lazy
 	n, m := rs.nodeCount, rs.relCount
+	warm := *rs
+	warm.lazy = nil
+	warm.nodes, warm.rels = newTable[*Node](rs.nextNode), newTable[*Relationship](rs.nextRel)
 
 	g.nodes = make(map[int64]*Node, n)
 	nodeBacking := make([]Node, n)
 	for i, id := range lz.nodeIDs {
-		nodeBacking[i] = *lz.node(rs, id)
+		node := lz.node(rs, id)
+		*warm.nodes.at(id) = node
+		nodeBacking[i] = *node
 		g.nodes[id] = &nodeBacking[i]
 	}
 	g.rels = make(map[int64]*Relationship, m)
 	relBacking := make([]Relationship, m)
 	for i, id := range lz.relIDs {
-		relBacking[i] = *lz.rel(rs, id)
+		rel := lz.rel(rs, id)
+		*warm.rels.at(id) = rel
+		relBacking[i] = *rel
 		g.rels[id] = &relBacking[i]
 	}
+	g.published.Store(&warm)
 
 	// Mutable adjacency copies: removal mutates these in place, which
 	// must never touch the epoch's aliased column.
 	var outTotal, inTotal int
 	for _, id := range lz.nodeIDs {
-		a := &rs.adj[id]
+		a := rs.adj.at(id)
 		outTotal += len(a.out.all)
 		inTotal += len(a.in.all)
 	}
@@ -463,7 +479,7 @@ func (g *Graph) hydrateLocked() {
 	g.out = make(map[int64][]int64, n)
 	g.in = make(map[int64][]int64, n)
 	for _, id := range lz.nodeIDs {
-		a := &rs.adj[id]
+		a := rs.adj.at(id)
 		if ln := len(a.out.all); ln > 0 {
 			start := len(outBacking)
 			outBacking = append(outBacking, a.out.all...)
@@ -485,25 +501,19 @@ func (g *Graph) hydrateLocked() {
 		g.byLabel[label] = set
 	}
 
-	g.indexed = make(map[string]map[string]bool, len(rs.indexed))
-	for label, props := range rs.indexed {
-		cp := make(map[string]bool, len(props))
-		for p, on := range props {
-			cp[p] = on
+	g.indexed = make(map[string]map[string]bool)
+	g.propIndex = make(map[string]map[string]map[string][]int64)
+	for pair, byVal := range rs.propIndex {
+		if g.indexed[pair.label] == nil {
+			g.indexed[pair.label] = make(map[string]bool)
+			g.propIndex[pair.label] = make(map[string]map[string][]int64)
 		}
-		g.indexed[label] = cp
-	}
-	g.propIndex = make(map[string]map[string]map[string][]int64, len(rs.propIndex))
-	for label, byProp := range rs.propIndex {
-		cpProp := make(map[string]map[string][]int64, len(byProp))
-		for p, byVal := range byProp {
-			cpVal := make(map[string][]int64, len(byVal))
-			for key, ids := range byVal {
-				cpVal[key] = append([]int64(nil), ids...)
-			}
-			cpProp[p] = cpVal
+		cpVal := make(map[string][]int64, len(byVal))
+		for key, ids := range byVal {
+			cpVal[key] = append([]int64(nil), ids...)
 		}
-		g.propIndex[label] = cpProp
+		g.indexed[pair.label][pair.prop] = true
+		g.propIndex[pair.label][pair.prop] = cpVal
 	}
 
 	g.relTypeCount = maps.Clone(rs.relTypeCount)
@@ -833,7 +843,7 @@ func buildColAdjacency(rs *readState, lz *colLazy, nodeIDs []int64, adjMeta *col
 		}
 	}
 
-	rs.adj = make([]nodeAdj, rs.nextNode)
+	rs.adj = newTable[nodeAdj](rs.nextNode)
 	buckets := make([]typeBucket, bucketTotal)
 	var bPos int
 
@@ -897,7 +907,7 @@ func buildColAdjacency(rs *readState, lz *colLazy, nodeIDs []int64, adjMeta *col
 		if err != nil {
 			return fmt.Errorf("node %d in-adjacency: %w", id, err)
 		}
-		rs.adj[id] = nodeAdj{out: out, in: in}
+		*rs.adj.at(id) = nodeAdj{out: out, in: in}
 	}
 	return nil
 }
@@ -985,8 +995,7 @@ func buildColIndexes(rs *readState, lz *colLazy, data []byte, secs map[uint32]co
 	}
 	ids := aliasI64(ib)
 
-	rs.indexed = make(map[string]map[string]bool)
-	rs.propIndex = make(map[string]map[string]map[string][]int64)
+	rs.propIndex = make(map[indexPair]map[string][]int64, pairCount)
 	pairs := b[16 : 16+pairCount*16]
 	bucketsRaw := b[16+pairCount*16:]
 	for i := 0; i < int(pairCount); i++ {
@@ -1029,12 +1038,7 @@ func buildColIndexes(rs *readState, lz *colLazy, data []byte, secs map[uint32]co
 			}
 			epVal[key] = span
 		}
-		if rs.indexed[label] == nil {
-			rs.indexed[label] = make(map[string]bool)
-			rs.propIndex[label] = make(map[string]map[string][]int64)
-		}
-		rs.indexed[label][prop] = true
-		rs.propIndex[label][prop] = epVal
+		rs.propIndex[indexPair{label, prop}] = epVal
 	}
 	return nil
 }

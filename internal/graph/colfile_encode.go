@@ -7,12 +7,16 @@ package graph
 // produces byte-identical output.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // colEncoder builds the deduplicated string and value pools. Strings
@@ -183,7 +187,7 @@ func (v *View) MarshalColumnar(meta ColMeta) ([]byte, error) {
 	ends := make([]int64, 0, m)
 	relPropOffs := make([]uint32, 1, m+1)
 	var relPropPairs []uint32
-	for id := int64(1); id < int64(len(rs.rels)); id++ {
+	for id := int64(1); id < rs.rels.len(); id++ {
 		r := rs.relAt(id)
 		if r == nil {
 			continue
@@ -237,7 +241,7 @@ func (v *View) MarshalColumnar(meta ColMeta) ([]byte, error) {
 		return nil
 	}
 	for _, id := range rs.allNodes {
-		a := &rs.adj[id]
+		a := rs.adj.at(id)
 		if err := appendDir(&a.out); err != nil {
 			return nil, err
 		}
@@ -275,56 +279,45 @@ func (v *View) MarshalColumnar(meta ColMeta) ([]byte, error) {
 	var idxPairs, idxBuckets []byte
 	var idxIDs []int64
 	pairCount, bucketCount := 0, 0
-	idxLabels := make([]string, 0, len(rs.indexed))
-	for l := range rs.indexed {
-		idxLabels = append(idxLabels, l)
-	}
-	sort.Strings(idxLabels)
-	for _, l := range idxLabels {
-		props := make([]string, 0, len(rs.indexed[l]))
-		for p, on := range rs.indexed[l] {
-			if on {
-				props = append(props, p)
+	pairs := slices.SortedFunc(maps.Keys(rs.propIndex), func(a, b indexPair) int {
+		return cmp.Or(strings.Compare(a.label, b.label), strings.Compare(a.prop, b.prop))
+	})
+	for _, pair := range pairs {
+		lr, err := e.internString(pair.label)
+		if err != nil {
+			return nil, err
+		}
+		pr, err := e.internString(pair.prop)
+		if err != nil {
+			return nil, err
+		}
+		byVal := rs.propIndex[pair]
+		vkeys := make([]string, 0, len(byVal))
+		for k, ids := range byVal {
+			if len(ids) > 0 {
+				vkeys = append(vkeys, k)
 			}
 		}
-		sort.Strings(props)
-		for _, p := range props {
-			lr, err := e.internString(l)
+		sort.Strings(vkeys)
+		idxPairs = binary.NativeEndian.AppendUint32(idxPairs, lr)
+		idxPairs = binary.NativeEndian.AppendUint32(idxPairs, pr)
+		idxPairs = binary.NativeEndian.AppendUint32(idxPairs, uint32(bucketCount))
+		idxPairs = binary.NativeEndian.AppendUint32(idxPairs, uint32(len(vkeys)))
+		pairCount++
+		for _, k := range vkeys {
+			kr, err := e.internString(k)
 			if err != nil {
 				return nil, err
 			}
-			pr, err := e.internString(p)
-			if err != nil {
-				return nil, err
+			ids := byVal[k]
+			if len(ids) > math.MaxUint32 {
+				return nil, fmt.Errorf("graph: columnar: index bucket exceeds format limits")
 			}
-			byVal := rs.propIndex[l][p]
-			vkeys := make([]string, 0, len(byVal))
-			for k, ids := range byVal {
-				if len(ids) > 0 {
-					vkeys = append(vkeys, k)
-				}
-			}
-			sort.Strings(vkeys)
-			idxPairs = binary.NativeEndian.AppendUint32(idxPairs, lr)
-			idxPairs = binary.NativeEndian.AppendUint32(idxPairs, pr)
-			idxPairs = binary.NativeEndian.AppendUint32(idxPairs, uint32(bucketCount))
-			idxPairs = binary.NativeEndian.AppendUint32(idxPairs, uint32(len(vkeys)))
-			pairCount++
-			for _, k := range vkeys {
-				kr, err := e.internString(k)
-				if err != nil {
-					return nil, err
-				}
-				ids := byVal[k]
-				if len(ids) > math.MaxUint32 {
-					return nil, fmt.Errorf("graph: columnar: index bucket exceeds format limits")
-				}
-				idxBuckets = binary.NativeEndian.AppendUint32(idxBuckets, kr)
-				idxBuckets = binary.NativeEndian.AppendUint32(idxBuckets, uint32(len(ids)))
-				idxBuckets = binary.NativeEndian.AppendUint64(idxBuckets, uint64(len(idxIDs)))
-				idxIDs = append(idxIDs, ids...)
-				bucketCount++
-			}
+			idxBuckets = binary.NativeEndian.AppendUint32(idxBuckets, kr)
+			idxBuckets = binary.NativeEndian.AppendUint32(idxBuckets, uint32(len(ids)))
+			idxBuckets = binary.NativeEndian.AppendUint64(idxBuckets, uint64(len(idxIDs)))
+			idxIDs = append(idxIDs, ids...)
+			bucketCount++
 		}
 	}
 

@@ -79,7 +79,8 @@ func TestColumnarLazyViewReadsStayCold(t *testing.T) {
 
 // TestColumnarLazyHydrationOnWrite checks that the first locked-API use
 // hydrates the mutable maps, that writes then land correctly, and that
-// the next epoch is rebuilt (never shared with the lazy one).
+// the next epoch shows them while the lazy one it shares pages with
+// does not.
 func TestColumnarLazyHydrationOnWrite(t *testing.T) {
 	g, _ := lazyTestGraph(t)
 	before := g.View()
@@ -135,10 +136,15 @@ func TestColumnarLazyEquivalence(t *testing.T) {
 
 // TestColumnarLazyConcurrentReadersAndWriter races many lazy View
 // readers against a writer whose first mutation hydrates the graph and
-// republishes. Run under -race this covers the CAS materialization
-// path, hydration, and the lazy-prev epoch rebuild at once.
+// whose publishes then share the cold epoch's pages. Every reader keeps
+// reading the cold epoch it pinned before the write — materializing
+// entities by CAS while the writer hydrates and publishes — alongside
+// freshly pinned epochs. Run under -race this covers the CAS
+// materialization path, hydration, and the first publish sharing the
+// cold epoch at once.
 func TestColumnarLazyConcurrentReadersAndWriter(t *testing.T) {
 	g, _ := lazyTestGraph(t)
+	cold := g.View()
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -147,19 +153,23 @@ func TestColumnarLazyConcurrentReadersAndWriter(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for round := 0; round < 20; round++ {
-				v := g.View()
-				for _, id := range v.AllNodeIDs() {
-					n := v.Node(id)
-					if n == nil {
-						t.Errorf("node %d vanished from pinned epoch", id)
-						return
+				for _, v := range []*View{cold, g.View()} {
+					for _, id := range v.AllNodeIDs() {
+						n := v.Node(id)
+						if n == nil {
+							t.Errorf("node %d vanished from pinned epoch", id)
+							return
+						}
+						v.IncidentDo(id, Both, nil, func(r *Relationship) bool {
+							_ = r.Props
+							return true
+						})
 					}
-					v.IncidentDo(id, Both, nil, func(r *Relationship) bool {
-						_ = r.Props
-						return true
-					})
+					_, _ = v.NodesByLabelProp("AS", "asn", 1000+seed+int64(round))
 				}
-				_, _ = v.NodesByLabelProp("AS", "asn", 1000+seed+int64(round))
+			}
+			if got := len(cold.AllNodeIDs()); got != 50 {
+				t.Errorf("the cold epoch lists %d nodes after the writes, want 50", got)
 			}
 		}(int64(w))
 	}
@@ -168,7 +178,10 @@ func TestColumnarLazyConcurrentReadersAndWriter(t *testing.T) {
 		defer wg.Done()
 		<-start
 		for i := 0; i < 20; i++ {
-			g.MustCreateNode([]string{"AS"}, map[string]any{"asn": int64(50000 + i)})
+			n := g.MustCreateNode([]string{"AS"}, map[string]any{"asn": int64(50000 + i)})
+			// Touch a loaded node's adjacency, so the publish clones a
+			// page the cold readers are reading.
+			g.MustCreateRelationship(n.ID, int64(1+i), "PEERS_WITH", nil)
 			g.View() // force epoch publication between writes
 		}
 	}()

@@ -149,9 +149,9 @@ func TestColumnarRoundTrip(t *testing.T) {
 
 	// The loaded graph publishes its first epoch at load: a View pin
 	// must not rebuild, and the loaded graph must stay fully mutable.
-	pins, pubs := got.SnapshotStats()
+	pins, pubs, _ := got.SnapshotStats()
 	_ = got.View()
-	if p2, pub2 := got.SnapshotStats(); pub2 != pubs || p2 != pins+1 {
+	if p2, pub2, _ := got.SnapshotStats(); pub2 != pubs || p2 != pins+1 {
 		t.Fatalf("first View pin rebuilt the epoch (publishes %d -> %d)", pubs, pub2)
 	}
 	n := got.MustCreateNode([]string{"AS"}, map[string]any{"asn": int64(999)})

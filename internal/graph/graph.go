@@ -157,22 +157,20 @@ type Graph struct {
 
 	// Lock-free read path (see view.go): the last published immutable
 	// epoch, the dirty sets accumulated since it was built, and the
-	// snapshot observability counters.
-	published    atomic.Pointer[readState]
-	dirtyNodes   map[int64]struct{} // created/deleted/relabeled/reproped nodes
-	dirtyRels    map[int64]struct{} // created/deleted/reproped rels
-	dirtyAdj     map[int64]struct{} // nodes whose adjacency (or incident rel copies) changed
-	relTypeCount map[string]int     // live rels per type; keeps RelationshipTypes and epoch builds O(#types)
-	// labelsDirty and indexDirty are deliberately coarse: one flag per
-	// table, so the next publish rebuilds that whole table (O(labeled
-	// nodes) / O(index size)) rather than tracking per-bucket churn.
-	// See the CONCURRENCY.md cost model; batch indexed writes on huge
-	// graphs.
-	labelsDirty       bool
+	// snapshot observability counters. Label postings need no dirty set
+	// of their own: only dirty nodes can have changed labels.
+	published  atomic.Pointer[readState]
+	dirtyNodes map[int64]struct{} // created/deleted/relabeled/reproped nodes
+	dirtyRels  map[int64]struct{} // created/deleted/reproped rels
+	dirtyAdj   map[int64]struct{} // nodes whose adjacency changed
+	// dirtyIndex holds the touched value keys of each index pair; a
+	// pair the published epoch lacks is a new index, built whole.
+	dirtyIndex        map[indexPair]map[string]struct{}
+	relTypeCount      map[string]int // live rels per type; keeps RelationshipTypes and epoch builds O(#types)
 	relTypesDirty     bool
-	indexDirty        bool
 	viewPins          atomic.Int64
 	snapshotPublishes atomic.Int64
+	publishNanos      atomic.Int64
 
 	// obs, when set, receives every applied Mutation while g.mu is
 	// still held — the write-ahead-log hook (see mutation.go).
@@ -240,6 +238,7 @@ func New() *Graph {
 		dirtyNodes:   make(map[int64]struct{}),
 		dirtyRels:    make(map[int64]struct{}),
 		dirtyAdj:     make(map[int64]struct{}),
+		dirtyIndex:   make(map[indexPair]map[string]struct{}),
 		nextNode:     1,
 		nextRel:      1,
 	}
@@ -253,8 +252,7 @@ func (g *Graph) CreateNode(labels []string, props map[string]any) (*Node, error)
 	if err != nil {
 		return nil, err
 	}
-	ls := append([]string(nil), labels...)
-	sort.Strings(ls)
+	ls := sortedLabels(labels)
 	g.ensureMutable()
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -272,9 +270,6 @@ func (g *Graph) CreateNode(labels []string, props map[string]any) (*Node, error)
 	}
 	g.indexNodeLocked(n)
 	g.noteNodeLocked(n.ID)
-	if len(ls) > 0 {
-		g.labelsDirty = true
-	}
 	g.notifyLocked(Mutation{Kind: MutCreateNode, NodeID: n.ID, Labels: ls, Props: norm})
 	return n, nil
 }
@@ -323,6 +318,15 @@ func (g *Graph) MustCreateRelationship(startID, endID int64, relType string, pro
 		panic(err)
 	}
 	return r
+}
+
+// sortedLabels returns a node's label set: sorted, each label once (a
+// label repeated in CREATE (n:A:A) would otherwise enter its index
+// buckets twice).
+func sortedLabels(labels []string) []string {
+	ls := slices.Clone(labels)
+	slices.Sort(ls)
+	return slices.Compact(ls)
 }
 
 func normalizeProps(props map[string]any) (Props, error) {
@@ -612,11 +616,23 @@ func (g *Graph) SetNodeProp(nodeID int64, key string, value any) error {
 // g.mu and notifies the observer itself.
 func (g *Graph) setNodePropLocked(n *Node, key string, nv Value) {
 	g.version.Add(1)
-	g.unindexNodeLocked(n)
+	old, had := n.Props.Get(key)
 	// Props are immutable (a published epoch may share them), so every
 	// write installs a new set.
 	n.Props = n.Props.With(key, nv)
-	g.indexNodeLocked(n)
+	// Only indexes on this key can move: other buckets stay untouched,
+	// so the next publish re-sorts nothing else.
+	for _, label := range n.Labels {
+		if !g.indexed[label][key] {
+			continue
+		}
+		if had {
+			g.removeFromIndexLocked(label, key, old, n.ID)
+		}
+		if nv != nil {
+			g.addToIndexLocked(label, key, nv, n.ID)
+		}
+	}
 	g.noteNodeLocked(n.ID)
 }
 
@@ -674,7 +690,6 @@ func (g *Graph) addNodeLabelLocked(n *Node, label string) bool {
 		return false
 	}
 	g.version.Add(1)
-	g.unindexNodeLocked(n)
 	// Fresh slice, not append-in-place: a published epoch may share the
 	// old backing array with lock-free readers.
 	labels := make([]string, 0, len(n.Labels)+1)
@@ -688,9 +703,8 @@ func (g *Graph) addNodeLabelLocked(n *Node, label string) bool {
 		g.byLabel[label] = set
 	}
 	set[n.ID] = struct{}{}
-	g.indexNodeLocked(n)
+	g.indexLabelLocked(n, label)
 	g.noteNodeLocked(n.ID)
-	g.labelsDirty = true
 	return true
 }
 
@@ -716,7 +730,7 @@ func (g *Graph) removeNodeLabelLocked(n *Node, label string) bool {
 		return false
 	}
 	g.version.Add(1)
-	g.unindexNodeLocked(n)
+	g.unindexLabelLocked(n, label)
 	// Filter into a fresh slice (not n.Labels[:0]) for the same
 	// epoch-sharing reason as AddNodeLabel.
 	out := make([]string, 0, len(n.Labels))
@@ -727,9 +741,7 @@ func (g *Graph) removeNodeLabelLocked(n *Node, label string) bool {
 	}
 	n.Labels = out
 	delete(g.byLabel[label], n.ID)
-	g.indexNodeLocked(n)
 	g.noteNodeLocked(n.ID)
-	g.labelsDirty = true
 	return true
 }
 
@@ -804,9 +816,6 @@ func (g *Graph) deleteNodeLocked(n *Node, detach bool) error {
 	delete(g.in, nodeID)
 	delete(g.nodes, nodeID)
 	g.noteNodeLocked(nodeID)
-	if len(n.Labels) > 0 {
-		g.labelsDirty = true
-	}
 	return nil
 }
 

@@ -29,7 +29,12 @@ func (g *Graph) createIndexLocked(label, property string) bool {
 	}
 	props[property] = true
 	g.version.Add(1)
-	g.indexDirty = true
+	// A pair the published epoch lacks is built whole by the next
+	// publish. Marked even before the first publish, which builds every
+	// dirty pair.
+	if pair := (indexPair{label, property}); g.dirtyIndex[pair] == nil {
+		g.dirtyIndex[pair] = make(map[string]struct{})
+	}
 	// Backfill existing nodes.
 	for id := range g.byLabel[label] {
 		n := g.nodes[id]
@@ -110,14 +115,19 @@ func (g *Graph) NodesByLabelProp(label, property string, value any) ([]int64, bo
 // Caller holds g.mu.
 func (g *Graph) indexNodeLocked(n *Node) {
 	for _, label := range n.Labels {
-		props := g.indexed[label]
-		for p, on := range props {
-			if !on {
-				continue
-			}
-			if v, ok := n.Props.Get(p); ok {
-				g.addToIndexLocked(label, p, v, n.ID)
-			}
+		g.indexLabelLocked(n, label)
+	}
+}
+
+// indexLabelLocked inserts the node into the property indexes of one of
+// its labels. Caller holds g.mu.
+func (g *Graph) indexLabelLocked(n *Node, label string) {
+	for p, on := range g.indexed[label] {
+		if !on {
+			continue
+		}
+		if v, ok := n.Props.Get(p); ok {
+			g.addToIndexLocked(label, p, v, n.ID)
 		}
 	}
 }
@@ -126,19 +136,28 @@ func (g *Graph) indexNodeLocked(n *Node) {
 // index. Caller holds g.mu.
 func (g *Graph) unindexNodeLocked(n *Node) {
 	for _, label := range n.Labels {
-		props := g.indexed[label]
-		for p, on := range props {
-			if !on {
-				continue
-			}
-			if v, ok := n.Props.Get(p); ok {
-				key := ValueKey(v)
-				bucket := g.propIndex[label][p][key]
-				g.propIndex[label][p][key] = removeID(bucket, n.ID)
-				g.indexDirty = true
-			}
+		g.unindexLabelLocked(n, label)
+	}
+}
+
+// unindexLabelLocked removes the node from the property indexes of one
+// of its labels. Caller holds g.mu.
+func (g *Graph) unindexLabelLocked(n *Node, label string) {
+	for p, on := range g.indexed[label] {
+		if !on {
+			continue
+		}
+		if v, ok := n.Props.Get(p); ok {
+			g.removeFromIndexLocked(label, p, v, n.ID)
 		}
 	}
+}
+
+func (g *Graph) removeFromIndexLocked(label, property string, v Value, id int64) {
+	key := ValueKey(v)
+	byVal := g.propIndex[label][property]
+	byVal[key] = removeID(byVal[key], id)
+	g.noteIndexLocked(indexPair{label, property}, key)
 }
 
 func (g *Graph) addToIndexLocked(label, property string, v Value, id int64) {
@@ -154,5 +173,5 @@ func (g *Graph) addToIndexLocked(label, property string, v Value, id int64) {
 	}
 	key := ValueKey(v)
 	byVal[key] = append(byVal[key], id)
-	g.indexDirty = true
+	g.noteIndexLocked(indexPair{label, property}, key)
 }

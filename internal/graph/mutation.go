@@ -119,8 +119,7 @@ func (g *Graph) ApplyMutation(m Mutation) error {
 		if _, ok := g.nodes[m.NodeID]; ok {
 			return fmt.Errorf("graph: apply %s: node %d already exists", m.Kind, m.NodeID)
 		}
-		ls := append([]string(nil), m.Labels...)
-		sort.Strings(ls)
+		ls := sortedLabels(m.Labels)
 		g.version.Add(1)
 		n := &Node{ID: m.NodeID, Labels: ls, Props: m.Props}
 		g.nodes[n.ID] = n
@@ -137,9 +136,6 @@ func (g *Graph) ApplyMutation(m Mutation) error {
 		}
 		g.indexNodeLocked(n)
 		g.noteNodeLocked(n.ID)
-		if len(ls) > 0 {
-			g.labelsDirty = true
-		}
 	case MutCreateRel:
 		if m.RelID < 1 {
 			return fmt.Errorf("graph: apply %s: invalid relationship id %d", m.Kind, m.RelID)

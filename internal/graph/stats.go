@@ -46,7 +46,8 @@ func (v *View) CollectStats() Stats {
 	}
 	totalDeg := 0
 	for _, id := range rs.allNodes {
-		o, i := len(rs.adj[id].out.all), len(rs.adj[id].in.all)
+		a := rs.adj.at(id)
+		o, i := len(a.out.all), len(a.in.all)
 		if o > s.MaxOutDegree {
 			s.MaxOutDegree = o
 		}

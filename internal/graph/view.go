@@ -15,18 +15,25 @@ package graph
 // Epochs are copy-on-write. Writers keep mutating the authoritative
 // locked maps (so write-query semantics — reads seeing the query's own
 // writes — are untouched) and record what they dirtied; the first View
-// pinned after a write builds the next epoch under the mutex, sharing
-// every untouched node, relationship, and adjacency bucket with the
-// previous epoch, and publishes it atomically. Readers holding older
-// epochs are unaffected: epoch entities are copies, never aliased with
-// the mutable state. Consecutive writes with no interleaved read cost
-// nothing beyond dirty bookkeeping — publication is lazy and
-// amortizes over write bursts.
+// pinned after a write builds the next epoch under the mutex and
+// publishes it atomically. The build costs O(dirty), not O(graph): the
+// paged entity and adjacency tables (table.go) share every page no
+// dirty ID falls in, label postings and the node list change by merging
+// the dirty nodes' membership changes, and only touched index buckets
+// are re-sorted. There is one build path for every predecessor: the
+// first publish of a fresh graph builds against an empty epoch with
+// everything dirty, and the first publish after a cold columnar load
+// shares the loaded epoch, which hydration republishes fully
+// materialized (see hydrateLocked). Readers
+// holding older epochs are unaffected: epoch entities are copies, never
+// aliased with the mutable state. Consecutive writes with no
+// interleaved read cost nothing beyond dirty bookkeeping — publication
+// is lazy and amortizes over write bursts.
 
 import (
 	"maps"
 	"slices"
-	"sort"
+	"time"
 )
 
 // Reader is the uniform read interface over a graph, implemented by
@@ -109,20 +116,21 @@ type nodeAdj struct {
 
 // readState is one immutable epoch of the graph. Everything in it is
 // either freshly built at publication or shared with the previous
-// epoch; nothing is ever mutated after publication. Node and
-// relationship tables are ID-indexed slices (IDs are dense,
+// epoch; nothing is ever mutated after publication. Node, relationship
+// and adjacency tables are ID-indexed paged tables (IDs are dense,
 // monotonically assigned), so lookups are bounds-checked array reads.
 type readState struct {
-	version   uint64
-	nodes     []*Node         // index = node ID; nil = absent
-	rels      []*Relationship // index = rel ID; nil = absent
-	adj       []nodeAdj       // index = node ID
-	allNodes  []int64         // ascending
-	byLabel   map[string][]int64
-	labels    []string // sorted, non-empty labels only
-	relTypes  []string // sorted
-	propIndex map[string]map[string]map[string][]int64
-	indexed   map[string]map[string]bool
+	version  uint64
+	nodes    table[*Node]         // nil slot = absent
+	rels     table[*Relationship] // nil slot = absent
+	adj      table[nodeAdj]
+	allNodes []int64 // ascending
+	byLabel  map[string][]int64
+	labels   []string // sorted, non-empty labels only
+	relTypes []string // sorted
+	// propIndex holds one entry per indexed (label, property) pair —
+	// possibly with no buckets — mapping value keys to ascending IDs.
+	propIndex map[indexPair]map[string][]int64
 	nodeCount int
 	relCount  int
 	// relTypeCount is the live relationship count per type, so stats
@@ -130,7 +138,8 @@ type readState struct {
 	relTypeCount map[string]int
 	// nextNode and nextRel freeze the ID allocators at publication so a
 	// snapshot serialized from a pinned View (snapshot.go, colfile.go)
-	// restores allocator state without touching the live graph.
+	// restores allocator state without touching the live graph. They
+	// are also the lengths of the node and relationship tables.
 	nextNode int64
 	nextRel  int64
 	// lazy, when non-nil, marks a cold columnar epoch: entity slots in
@@ -141,13 +150,16 @@ type readState struct {
 	lazy *colLazy
 }
 
+// indexPair names one property index.
+type indexPair struct{ label, prop string }
+
 // nodeAt resolves the node-table slot at a valid index (caller bounds-
 // checks), materializing it on demand for cold columnar epochs.
 func (rs *readState) nodeAt(id int64) *Node {
 	if rs.lazy != nil {
 		return rs.lazy.node(rs, id)
 	}
-	return rs.nodes[id]
+	return *rs.nodes.at(id)
 }
 
 // relAt is the relationship counterpart of nodeAt.
@@ -155,7 +167,7 @@ func (rs *readState) relAt(id int64) *Relationship {
 	if rs.lazy != nil {
 		return rs.lazy.rel(rs, id)
 	}
-	return rs.rels[id]
+	return *rs.rels.at(id)
 }
 
 // View is a pinned epoch: a consistent, immutable snapshot of the
@@ -183,12 +195,12 @@ func (g *Graph) View() *View {
 }
 
 // SnapshotStats reports the cumulative snapshot counters of this
-// graph: how many Views were pinned and how many epochs were actually
-// built and published. A high pin/publish ratio means the read path is
+// graph: how many Views were pinned, how many epochs were actually
+// built and published, and the wall time those builds took. A high pin/publish ratio means the read path is
 // running lock-free; publishes track write churn as observed by
 // readers.
-func (g *Graph) SnapshotStats() (viewPins, snapshotPublishes int64) {
-	return g.viewPins.Load(), g.snapshotPublishes.Load()
+func (g *Graph) SnapshotStats() (viewPins, snapshotPublishes, publishNanos int64) {
+	return g.viewPins.Load(), g.snapshotPublishes.Load(), g.publishNanos.Load()
 }
 
 // Version returns the version of the graph this view was pinned at.
@@ -196,7 +208,7 @@ func (v *View) Version() uint64 { return v.rs.version }
 
 // Node returns the node with the given ID, or nil when absent.
 func (v *View) Node(id int64) *Node {
-	if id < 0 || id >= int64(len(v.rs.nodes)) {
+	if id < 0 || id >= v.rs.nodes.len() {
 		return nil
 	}
 	return v.rs.nodeAt(id)
@@ -204,7 +216,7 @@ func (v *View) Node(id int64) *Node {
 
 // Relationship returns the relationship with the given ID, or nil.
 func (v *View) Relationship(id int64) *Relationship {
-	if id < 0 || id >= int64(len(v.rs.rels)) {
+	if id < 0 || id >= v.rs.rels.len() {
 		return nil
 	}
 	return v.rs.relAt(id)
@@ -223,17 +235,19 @@ func (v *View) Labels() []string { return v.rs.labels }
 // Read-only.
 func (v *View) RelationshipTypes() []string { return v.rs.relTypes }
 
-// AllNodeIDs returns every node ID in ascending order. Read-only.
-func (v *View) AllNodeIDs() []int64 { return v.rs.allNodes }
+// AllNodeIDs returns every node ID in ascending order. Read-only; its
+// capacity is clipped, because later epochs append past its end.
+func (v *View) AllNodeIDs() []int64 { return slices.Clip(v.rs.allNodes) }
 
 // NodesByLabel returns the IDs of nodes with the label, ascending.
-// Read-only.
-func (v *View) NodesByLabel(label string) []int64 { return v.rs.byLabel[label] }
+// Read-only and clipped, like AllNodeIDs.
+func (v *View) NodesByLabel(label string) []int64 { return slices.Clip(v.rs.byLabel[label]) }
 
 // HasIndex reports whether a property index exists on (label,
 // property).
 func (v *View) HasIndex(label, property string) bool {
-	return v.rs.indexed[label][property]
+	_, ok := v.rs.propIndex[indexPair{label, property}]
+	return ok
 }
 
 // NodesByLabelProp returns the IDs of nodes with the given label whose
@@ -246,8 +260,8 @@ func (v *View) NodesByLabelProp(label, property string, value any) ([]int64, boo
 		return nil, false
 	}
 	rs := v.rs
-	if rs.indexed[label][property] {
-		return rs.propIndex[label][property][ValueKey(nv)], true
+	if byVal, ok := rs.propIndex[indexPair{label, property}]; ok {
+		return byVal[ValueKey(nv)], true
 	}
 	var out []int64
 	for _, id := range rs.byLabel[label] {
@@ -264,10 +278,10 @@ func (v *View) NodesByLabelProp(label, property string, value any) ([]int64, boo
 
 // adjOf returns the node's adjacency, or nil when out of range.
 func (v *View) adjOf(nodeID int64) *nodeAdj {
-	if nodeID < 0 || nodeID >= int64(len(v.rs.adj)) {
+	if nodeID < 0 || nodeID >= v.rs.adj.len() {
 		return nil
 	}
-	return &v.rs.adj[nodeID]
+	return v.rs.adj.at(nodeID)
 }
 
 // IncidentDo iterates the relationships incident to the node in the
@@ -424,22 +438,29 @@ func (v *View) Degree(nodeID int64, dir Direction, types ...string) int {
 // ---------------------------------------------------------------------
 
 // publishLocked returns the epoch for the current version, building
-// and publishing it when the published one is stale. Incremental
-// builds copy only dirty entities and adjacency; everything else is
-// shared with the previous epoch. Caller holds g.mu.
+// and publishing it when the published one is stale. The build is
+// O(dirty): untouched pages, postings and index buckets are shared
+// with the previous epoch. Caller holds g.mu.
+//
+// The predecessor is never a lazy epoch: every write first hydrates a
+// cold columnar graph, and hydration publishes the loaded epoch fully
+// materialized (hydrateLocked), so the first publish after a cold load
+// shares it like any other.
 func (g *Graph) publishLocked() *readState {
 	prev := g.published.Load()
 	v := g.version.Load()
 	if prev != nil && prev.version == v {
 		return prev
 	}
-	if prev != nil && prev.lazy != nil {
-		// A cold columnar epoch has lazily materialized entity slots
-		// that concurrent readers may still be CAS-filling; sharing its
-		// tables would race and could propagate unmaterialized nils.
-		// Mutators hydrate the maps before bumping the version, so a
-		// full rebuild from them is always possible here.
-		prev = nil
+	start := time.Now()
+	nodeIDs, relIDs, adjIDs := maps.Keys(g.dirtyNodes), maps.Keys(g.dirtyRels), maps.Keys(g.dirtyAdj)
+	if prev == nil {
+		// The first publish builds against an empty epoch with every
+		// entity dirty; tracking starts after it, so bulk loads pay no
+		// bookkeeping.
+		prev = &readState{byLabel: map[string][]int64{}, propIndex: map[indexPair]map[string][]int64{}}
+		nodeIDs, relIDs, adjIDs = maps.Keys(g.nodes), maps.Keys(g.rels), maps.Keys(g.nodes)
+		g.relTypesDirty = true
 	}
 	rs := &readState{
 		version:   v,
@@ -449,154 +470,198 @@ func (g *Graph) publishLocked() *readState {
 		nextRel:   g.nextRel,
 	}
 
-	// Relationship table first: adjacency buckets point into it.
-	rs.rels = make([]*Relationship, g.nextRel)
-	if prev == nil {
-		for id, r := range g.rels {
-			rs.rels[id] = copyRel(r)
+	// Relationship table first: adjacency buckets resolve types
+	// through it.
+	rels := prev.rels.edit(g.nextRel)
+	for id := range relIDs {
+		var cp *Relationship
+		if r := g.rels[id]; r != nil {
+			cp = copyRel(r)
 		}
-	} else {
-		copy(rs.rels, prev.rels)
-		for id := range g.dirtyRels {
-			if r := g.rels[id]; r != nil {
-				rs.rels[id] = copyRel(r)
-			} else if id < int64(len(rs.rels)) {
-				rs.rels[id] = nil
-			}
-		}
+		rels.set(id, cp)
 	}
+	rs.rels = rels.table
 
-	rs.nodes = make([]*Node, g.nextNode)
-	if prev == nil {
-		for id, n := range g.nodes {
-			rs.nodes[id] = copyNode(n)
+	// Node table, and the membership changes it implies: a node's
+	// presence and labels can differ from the previous epoch's only if
+	// the node is dirty.
+	nodes := prev.nodes.edit(g.nextNode)
+	var all idDelta
+	byLabel := map[string]*idDelta{}
+	for id := range nodeIDs {
+		var was, now *Node
+		if id < prev.nextNode {
+			was = prev.nodeAt(id)
 		}
-	} else {
-		copy(rs.nodes, prev.nodes)
-		for id := range g.dirtyNodes {
-			if n := g.nodes[id]; n != nil {
-				rs.nodes[id] = copyNode(n)
-			} else if id < int64(len(rs.nodes)) {
-				rs.nodes[id] = nil
-			}
+		if n := g.nodes[id]; n != nil {
+			now = copyNode(n)
 		}
+		nodes.set(id, now)
+		all.note(id, was != nil, now != nil)
+		noteLabels(byLabel, id, was, now)
 	}
+	rs.nodes = nodes.table
+	rs.allNodes = all.apply(prev.allNodes)
 
-	rs.adj = make([]nodeAdj, g.nextNode)
-	if prev == nil {
-		for id := range g.nodes {
-			rs.adj[id] = g.buildAdjLocked(rs, id)
-		}
-	} else {
-		copy(rs.adj, prev.adj)
-		for id := range g.dirtyAdj {
-			if id >= int64(len(rs.adj)) {
-				continue
-			}
-			if _, ok := g.nodes[id]; ok {
-				rs.adj[id] = g.buildAdjLocked(rs, id)
+	rs.byLabel, rs.labels = prev.byLabel, prev.labels
+	if len(byLabel) > 0 {
+		rs.byLabel = maps.Clone(prev.byLabel)
+		for l, d := range byLabel {
+			if ids := d.apply(prev.byLabel[l]); len(ids) > 0 {
+				rs.byLabel[l] = ids
 			} else {
-				rs.adj[id] = nodeAdj{}
+				delete(rs.byLabel, l)
 			}
 		}
-		for id := range g.dirtyNodes {
-			if _, ok := g.nodes[id]; !ok && id < int64(len(rs.adj)) {
-				rs.adj[id] = nodeAdj{}
-			}
-		}
+		rs.labels = slices.Sorted(maps.Keys(rs.byLabel))
 	}
 
-	rs.allNodes = make([]int64, 0, len(g.nodes))
-	for id := int64(0); id < int64(len(rs.nodes)); id++ {
-		if rs.nodes[id] != nil {
-			rs.allNodes = append(rs.allNodes, id)
-		}
+	adj := prev.adj.edit(g.nextNode)
+	for id := range adjIDs {
+		adj.set(id, g.buildAdjLocked(&rs.rels, id))
 	}
-
-	if prev == nil || g.labelsDirty {
-		rs.byLabel = make(map[string][]int64, len(g.byLabel))
-		for l, set := range g.byLabel {
-			if len(set) == 0 {
-				continue
-			}
-			ids := make([]int64, 0, len(set))
-			for id := range set {
-				ids = append(ids, id)
-			}
-			sortIDs(ids)
-			rs.byLabel[l] = ids
-			rs.labels = append(rs.labels, l)
-		}
-		sort.Strings(rs.labels)
-	} else {
-		rs.byLabel, rs.labels = prev.byLabel, prev.labels
-	}
+	rs.adj = adj.table
 
 	rs.relTypeCount = maps.Clone(g.relTypeCount) // O(#types)
-	if prev == nil || g.relTypesDirty {
+	rs.relTypes = prev.relTypes
+	if g.relTypesDirty {
 		rs.relTypes = relTypesLocked(g.relTypeCount)
-	} else {
-		rs.relTypes = prev.relTypes
 	}
 
-	if prev == nil || g.indexDirty {
-		rs.indexed = make(map[string]map[string]bool, len(g.indexed))
-		for l, props := range g.indexed {
-			cp := make(map[string]bool, len(props))
-			for p, on := range props {
-				cp[p] = on
-			}
-			rs.indexed[l] = cp
+	// Index: a pair the previous epoch lacks (a new index) is built
+	// whole; otherwise only its touched buckets are re-sorted.
+	rs.propIndex = prev.propIndex
+	if len(g.dirtyIndex) > 0 {
+		rs.propIndex = maps.Clone(prev.propIndex)
+	}
+	for pair, keys := range g.dirtyIndex {
+		live := g.propIndex[pair.label][pair.prop]
+		byVal, ok := prev.propIndex[pair]
+		touched := maps.Keys(keys)
+		if ok {
+			byVal = maps.Clone(byVal)
+		} else {
+			byVal, touched = make(map[string][]int64, len(live)), maps.Keys(live)
 		}
-		rs.propIndex = make(map[string]map[string]map[string][]int64, len(g.propIndex))
-		for l, byProp := range g.propIndex {
-			cpProp := make(map[string]map[string][]int64, len(byProp))
-			for p, byVal := range byProp {
-				cpVal := make(map[string][]int64, len(byVal))
-				for key, ids := range byVal {
-					if len(ids) == 0 {
-						continue
-					}
-					sorted := append([]int64(nil), ids...)
-					sortIDs(sorted)
-					cpVal[key] = sorted
-				}
-				cpProp[p] = cpVal
+		for key := range touched {
+			if ids := live[key]; len(ids) > 0 {
+				sorted := slices.Clone(ids)
+				slices.Sort(sorted)
+				byVal[key] = sorted
+			} else {
+				delete(byVal, key)
 			}
-			rs.propIndex[l] = cpProp
 		}
-	} else {
-		rs.indexed, rs.propIndex = prev.indexed, prev.propIndex
+		rs.propIndex[pair] = byVal
 	}
 
 	g.dirtyNodes = make(map[int64]struct{})
 	g.dirtyRels = make(map[int64]struct{})
 	g.dirtyAdj = make(map[int64]struct{})
-	g.labelsDirty, g.relTypesDirty, g.indexDirty = false, false, false
+	g.dirtyIndex = make(map[indexPair]map[string]struct{})
+	g.relTypesDirty = false
 	g.published.Store(rs)
 	g.snapshotPublishes.Add(1)
+	g.publishNanos.Add(time.Since(start).Nanoseconds())
 	return rs
 }
 
-// buildAdjLocked builds one node's type-bucketed adjacency against the
-// epoch's relationship table. The mutable adjacency lists are kept in
-// ascending rel-ID order (IDs are assigned monotonically and removal
-// preserves order), so each bucket comes out sorted with no sort pass.
-// Caller holds g.mu.
-func (g *Graph) buildAdjLocked(rs *readState, nodeID int64) nodeAdj {
-	return nodeAdj{
-		out: buildDirAdj(rs, g.out[nodeID]),
-		in:  buildDirAdj(rs, g.in[nodeID]),
+// idDelta is the change to one ascending ID list between two epochs:
+// the IDs that joined it and the IDs that left.
+type idDelta struct{ add, del []int64 }
+
+// note records one node's membership before and after.
+func (d *idDelta) note(id int64, was, now bool) {
+	switch {
+	case now && !was:
+		d.add = append(d.add, id)
+	case was && !now:
+		d.del = append(d.del, id)
 	}
 }
 
-func buildDirAdj(rs *readState, ids []int64) dirAdj {
+// noteLabels records a dirty node's label changes between its previous
+// epoch copy and its new one (nil when absent). Labels repeated on one
+// node count once.
+func noteLabels(byLabel map[string]*idDelta, id int64, was, now *Node) {
+	var wl, nl []string
+	if was != nil {
+		wl = was.Labels
+	}
+	if now != nil {
+		nl = now.Labels
+	}
+	delta := func(l string) *idDelta {
+		d := byLabel[l]
+		if d == nil {
+			d = &idDelta{}
+			byLabel[l] = d
+		}
+		return d
+	}
+	for i, l := range wl {
+		if !slices.Contains(wl[:i], l) && !slices.Contains(nl, l) {
+			delta(l).del = append(delta(l).del, id)
+		}
+	}
+	for i, l := range nl {
+		if !slices.Contains(nl[:i], l) && !slices.Contains(wl, l) {
+			delta(l).add = append(delta(l).add, id)
+		}
+	}
+}
+
+// apply returns the ascending list old with the delta applied. When
+// only IDs past its end joined — creations, the common case — it
+// appends in place: publishes form one chain under g.mu and an epoch
+// has at most one successor, so the capacity past len(old) is written
+// by this publish alone and read by no published epoch. (Columns
+// aliased from a snapshot have cap == len, so appending to them
+// copies.) Anything else merges into a fresh list in one pass.
+func (d *idDelta) apply(old []int64) []int64 {
+	if len(d.add) == 0 && len(d.del) == 0 {
+		return old
+	}
+	slices.Sort(d.add)
+	slices.Sort(d.del)
+	if len(d.del) == 0 && (len(old) == 0 || d.add[0] > old[len(old)-1]) {
+		return append(old, d.add...)
+	}
+	out := make([]int64, 0, len(old)+len(d.add)-len(d.del))
+	add, del := d.add, d.del
+	for _, id := range old {
+		for len(add) > 0 && add[0] < id {
+			out = append(out, add[0])
+			add = add[1:]
+		}
+		if len(del) > 0 && del[0] == id {
+			del = del[1:]
+			continue
+		}
+		out = append(out, id)
+	}
+	return append(out, add...)
+}
+
+// buildAdjLocked builds one node's type-bucketed adjacency against the
+// epoch's relationship table (empty for a deleted node). The mutable
+// adjacency lists are kept in ascending rel-ID order (IDs are assigned
+// monotonically and removal preserves order), so each bucket comes out
+// sorted with no sort pass. Caller holds g.mu.
+func (g *Graph) buildAdjLocked(rels *table[*Relationship], nodeID int64) nodeAdj {
+	return nodeAdj{
+		out: buildDirAdj(rels, g.out[nodeID]),
+		in:  buildDirAdj(rels, g.in[nodeID]),
+	}
+}
+
+func buildDirAdj(rels *table[*Relationship], ids []int64) dirAdj {
 	if len(ids) == 0 {
 		return dirAdj{}
 	}
 	d := dirAdj{all: make([]int64, 0, len(ids))}
 	for _, id := range ids {
-		r := rs.rels[id]
+		r := *rels.at(id)
 		if r == nil {
 			continue
 		}
@@ -616,14 +681,17 @@ func buildDirAdj(rs *readState, ids []int64) dirAdj {
 	return d
 }
 
-// copyNode and copyRel make the epoch's decoupled entity copies.
-// They are shallow struct copies: the Labels and Props slices are
-// shared with the live entity, which is safe because every mutator
-// replaces them wholesale instead of mutating them in place (Props is
-// immutable; see setNodePropLocked and addNodeLabelLocked). Sharing
-// keeps the epoch's GC footprint to a few words per entity — deep-
-// copying every property set would double the live heap and tax every
-// GC cycle of an otherwise read-only process.
+// copyNode and copyRel make the epoch's decoupled entity copies: live
+// entities stay mutable, and an epoch never aliases one. They are
+// shallow struct copies: the Labels and Props slices are shared with
+// the live entity, which is safe because every mutator replaces them
+// wholesale instead of mutating them in place (Props is immutable; see
+// setNodePropLocked and addNodeLabelLocked). Sharing keeps the epoch's
+// GC footprint to a few words per entity — deep-copying every property
+// set would double the live heap and tax every GC cycle of an
+// otherwise read-only process. Only dirty entities are copied; every
+// other epoch slot is shared with the previous epoch, including the
+// entities a cold columnar epoch materialized.
 func copyNode(n *Node) *Node {
 	cp := *n
 	return &cp
@@ -654,4 +722,17 @@ func (g *Graph) noteRelLocked(r *Relationship) {
 		g.dirtyAdj[r.StartID] = struct{}{}
 		g.dirtyAdj[r.EndID] = struct{}{}
 	}
+}
+
+// noteIndexLocked records one touched index bucket.
+func (g *Graph) noteIndexLocked(pair indexPair, key string) {
+	if !g.tracking() {
+		return
+	}
+	keys := g.dirtyIndex[pair]
+	if keys == nil {
+		keys = make(map[string]struct{})
+		g.dirtyIndex[pair] = keys
+	}
+	keys[key] = struct{}{}
 }

@@ -403,15 +403,19 @@ func TestLoadersRejectInvalidIDs(t *testing.T) {
 }
 
 // TestSnapshotStats checks the pin/publish counters: pins count every
-// View call, publishes only epochs actually rebuilt.
+// View call, publishes only epochs actually rebuilt, and publish time
+// accumulates only while building.
 func TestSnapshotStats(t *testing.T) {
 	g := New()
 	g.MustCreateNode([]string{"N"}, nil)
-	pins0, pubs0 := g.SnapshotStats()
+	pins0, pubs0, ns0 := g.SnapshotStats()
 	g.View()
 	g.View()
 	g.View()
-	pins, pubs := g.SnapshotStats()
+	pins, pubs, ns := g.SnapshotStats()
+	if ns0 != 0 || ns <= 0 {
+		t.Errorf("publish nanos %d -> %d, want 0 -> > 0", ns0, ns)
+	}
 	if pins-pins0 != 3 {
 		t.Errorf("pins moved by %d, want 3", pins-pins0)
 	}
@@ -422,7 +426,7 @@ func TestSnapshotStats(t *testing.T) {
 	g.MustCreateNode([]string{"N"}, nil) // write burst: still one publish
 	g.View()
 	g.View()
-	pins2, pubs2 := g.SnapshotStats()
+	pins2, pubs2, _ := g.SnapshotStats()
 	if pins2-pins != 2 || pubs2-pubs != 1 {
 		t.Errorf("after write burst: pins %d publishes %d, want 2 and 1", pins2-pins, pubs2-pubs)
 	}
