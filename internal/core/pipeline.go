@@ -46,9 +46,9 @@ type Config struct {
 	Lexicon *llm.Lexicon
 	// Retrieval is the retrieval tier of Graph when the caller already
 	// holds it (persist.Store.Retrieval reads it from a data directory);
-	// nil means retrieval.Build(Graph.View()). The pipeline adopts it:
-	// the index takes over its docs and slab, so a tier serves one
-	// pipeline.
+	// nil means retrieval.Build(Graph.View()). The index borrows its
+	// docs and slab without writing them, so a tier serves any number
+	// of pipelines.
 	Retrieval *retrieval.Tier
 	// Schema is the schema card included in translation prompts;
 	// empty means iyp.SchemaText().

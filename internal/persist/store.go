@@ -227,8 +227,7 @@ func (s *Store) Graph() *graph.Graph { return s.g }
 // the file validated against the base (retrieval.Read) and Open
 // replayed no WAL record, so that it is the tier of Graph as Open
 // returned it; otherwise the tier is nil and the error says why,
-// wrapping retrieval.ErrNoTier, ErrStale, ErrCorrupt or ErrDrift. The
-// tier serves one pipeline (core.Config.Retrieval).
+// wrapping retrieval.ErrNoTier, ErrStale, ErrCorrupt or ErrDrift.
 func (s *Store) Retrieval() (*retrieval.Tier, time.Duration, error) {
 	return s.tier, s.tierRead, s.tierErr
 }

@@ -2,12 +2,15 @@ package persist_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,7 +78,7 @@ func loadedTier(t *testing.T, s *persist.Store) *retrieval.Tier {
 }
 
 // sameTier reports the first difference between two tiers: docs, the
-// IDF weight of every fitted feature, or the bits of the raw slab.
+// IDF weight of every fitted feature, or the bits of the slab.
 func sameTier(got, want *retrieval.Tier) error {
 	if len(got.Docs) != len(want.Docs) {
 		return fmt.Errorf("%d docs, want %d", len(got.Docs), len(want.Docs))
@@ -162,15 +165,32 @@ func sameSearches(t *testing.T, name string, got, want *core.Pipeline, queries [
 	}
 }
 
+// searchAll returns the IDs and score bits of p's top-k for each query.
+func searchAll(t *testing.T, p *core.Pipeline, queries []string) [][2]uint64 {
+	t.Helper()
+	var out [][2]uint64
+	for _, q := range queries {
+		hits, err := p.SearchEntities(context.Background(), q, 8, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hits {
+			out = append(out, [2]uint64{uint64(h.Doc.ID), math.Float64bits(h.Score)})
+		}
+	}
+	return out
+}
+
 // TestStoredTierEqualsBuilt: the tier Init writes and Open reads is the
-// tier Build makes of the reopened cold graph — docs, IDF bits, raw
-// slab bits — and pipelines on either give the same top-k, IDs and
-// score bits, on the exact index and on HNSW, at GOMAXPROCS 1 and 2.
+// tier Build makes of the reopened cold graph — docs, IDF bits, slab
+// bits — and pipelines on either give the same top-k, IDs and score
+// bits, on the exact index and on HNSW, both built on the one tier Open
+// read, at GOMAXPROCS 1 and 2.
 func TestStoredTierEqualsBuilt(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		dir, s := initAndOpen(t)
+		_, s := initAndOpen(t)
 		g := s.Graph()
 		loaded := loadedTier(t, s)
 		built := retrieval.Build(g.View())
@@ -179,13 +199,8 @@ func TestStoredTierEqualsBuilt(t *testing.T) {
 		}
 		queries := seededQueries(built.Docs)
 		for _, ann := range []bool{false, true} {
-			// A tier serves one pipeline: each gets a read of its own.
-			tier, err := retrieval.Read(persist.TierPath(dir), retrieval.Stamp{StoreID: s.StoreID()}, g.View())
-			if err != nil {
-				t.Fatal(err)
-			}
 			sameSearches(t, fmt.Sprintf("GOMAXPROCS %d, ANN %v", procs, ann),
-				pipelineOn(t, g, tier, ann), pipelineOn(t, g, nil, ann), queries)
+				pipelineOn(t, g, loaded, ann), pipelineOn(t, g, nil, ann), queries)
 		}
 		if n, _ := g.HydrationStats(); n != 0 {
 			t.Fatalf("reading and validating the tier hydrated the graph %d times", n)
@@ -227,13 +242,21 @@ func TestTierStaleAfterReplay(t *testing.T) {
 
 // TestCheckpointRewritesTier: a checkpoint writes the tier of the graph
 // it checkpoints, under the new base's stamp, and the next boot reads
-// it.
+// it; a pipeline on the tier read before it, whose file the checkpoint
+// renamed a new one over, answers as it did.
 func TestCheckpointRewritesTier(t *testing.T) {
 	dir, s := initAndOpen(t)
-	before := len(loadedTier(t, s).Docs)
+	old := loadedTier(t, s)
+	before := len(old.Docs)
+	queries := seededQueries(old.Docs)
+	p := pipelineOn(t, s.Graph(), old, false)
+	want := searchAll(t, p, queries)
 	addAS(t, s.Graph(), 4_200_000_002)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	if got := searchAll(t, p, queries); !slices.Equal(got, want) {
+		t.Fatal("a pipeline on the tier read at Open answers differently after a checkpoint replaced its file")
 	}
 	s.Close()
 
@@ -302,6 +325,50 @@ func TestTierCrashWindows(t *testing.T) {
 			t.Fatalf("fallback build holds %d docs, want the new node's too", len(got.Docs))
 		}
 	})
+}
+
+// TestTierFileVersion1: a tier file of format version 1, whose rows the
+// index would take as normalized without their being so, is stale; the
+// server's fallback builds the tier, and the next checkpoint writes a
+// version 2 file that the boot after it reads.
+func TestTierFileVersion1(t *testing.T) {
+	dir, s := initAndOpen(t)
+	s.Close()
+	data, err := os.ReadFile(persist.TierPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ne := binary.NativeEndian
+	if v := ne.Uint32(data[8:]); v != 2 {
+		t.Fatalf("Init wrote format version %d, want 2", v)
+	}
+	ne.PutUint32(data[8:], 1)
+	body := len(data) - 4
+	ne.PutUint32(data[body:], crc32.Checksum(data[:body], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(persist.TierPath(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openStore(t, dir)
+	noTier(t, s2, retrieval.ErrStale, "stale: format version 1, this build reads 2")
+	built := retrieval.Build(s2.Graph().View())
+	sameSearches(t, "on the fallback build", pipelineOn(t, s2.Graph(), built, false),
+		pipelineOn(t, smallGraph(t), nil, false), seededQueries(built.Docs))
+	if err := s2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	if data, err = os.ReadFile(persist.TierPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if v := ne.Uint32(data[8:]); v != 2 {
+		t.Fatalf("the checkpoint wrote format version %d, want 2", v)
+	}
+	s3 := openStore(t, dir)
+	defer s3.Close()
+	if err := sameTier(loadedTier(t, s3), built); err != nil {
+		t.Fatalf("the checkpointed tier differs from the fallback build: %v", err)
+	}
 }
 
 // loadedTierOf reads the tier file at path whatever its stamp says.

@@ -16,17 +16,18 @@ import (
 	"chatiyp/internal/vector"
 )
 
-// Tier is the retrieval tier of one graph state. A pipeline adopts it
-// (core.Config.Retrieval): its index takes over Docs and Slab and
-// normalizes the rows in place, so a tier serves one pipeline.
+// Tier is the retrieval tier of one graph state. Nothing writes Docs or
+// Slab once Build or Read returns them: a pipeline's index
+// (core.Config.Retrieval) borrows them read-only, so one tier serves
+// any number of pipelines.
 type Tier struct {
 	// Embedder is fitted on the texts of Docs.
 	Embedder *embed.Embedder
 	// Docs describe the nodes of iyp.DescribableNodes, in that order.
 	Docs []vector.Doc
 	// Slab holds the vector of Docs[i] at [i*dim, (i+1)*dim) as the
-	// embedder computed it, before vector.NewIndexFromSlab normalizes
-	// it again.
+	// embedder computed it and vector.Normalize normalized it: the rows
+	// vector.NewIndexFromSlab takes.
 	Slab []float32
 	// DocFreqs are the document frequencies Embedder was fitted on,
 	// counted over len(Docs) documents.
@@ -39,15 +40,15 @@ type Tier struct {
 const buildChunk = 256
 
 // Build renders, fits and embeds the node descriptions of v — what
-// iyp.Describe, Embedder.Fit and one Embed per description compute —
-// once, on GOMAXPROCS goroutines, as a two-phase fork-join over
-// ID-ordered chunks of the describable nodes.
+// iyp.Describe, Embedder.Fit and one Embed and one vector.Normalize per
+// description compute — once, on GOMAXPROCS goroutines, as a two-phase
+// fork-join over ID-ordered chunks of the describable nodes.
 //
 // Phase 1: each worker renders the descriptions of the chunks it claims
 // and extracts their hashed features into its own embed.Corpus. The
 // barrier sums the per-worker document frequencies into the IDF table.
 // Phase 2: each worker weights and accumulates the vectors of its own
-// documents into their rows of one slab.
+// documents into their rows of one slab, and normalizes each row.
 //
 // The result does not depend on the worker count or on which worker
 // claimed which chunk: docs[i] and row i belong to the i-th describable
@@ -86,7 +87,9 @@ func Build(view *graph.View) *Tier {
 	freqs := emb.FitCorpora(corpora)
 	forkJoin(workers, func(w int) {
 		for j, i := range owned[w] {
-			corpora[w].EmbedInto(j, slab[i*dim:(i+1)*dim])
+			row := slab[i*dim : (i+1)*dim]
+			corpora[w].EmbedInto(j, row)
+			vector.Normalize(row)
 		}
 	})
 	return &Tier{Embedder: emb, Docs: docs, Slab: slab, DocFreqs: freqs}

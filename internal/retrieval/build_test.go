@@ -65,12 +65,12 @@ func sameVectorBits(a, b embed.Vector) bool {
 
 // TestParallelBuildEqualsSerial: at GOMAXPROCS 1, 2 and 8 the parallel
 // build produces the descriptions of iyp.Describe in the same order,
-// for each the vector of Fit + Embed bit for bit — which, every feature
-// of the IDF table occurring in some description, pins the table too
-// (embed's TestFitAndCorporaMatchReference compares it entry by entry
-// for any split of the documents) — an embedder that embeds unseen
-// queries to the same bits, and an index that answers a seeded query
-// set with the same IDs and score bits.
+// for each the vector of Fit + Embed + vector.Normalize bit for bit —
+// which, every feature of the IDF table occurring in some description,
+// pins the table too (embed's TestFitAndCorporaMatchReference compares
+// it entry by entry for any split of the documents) — an embedder that
+// embeds unseen queries to the same bits, and an index that answers a
+// seeded query set with the same IDs and score bits.
 func TestParallelBuildEqualsSerial(t *testing.T) {
 	g := buildFixture()
 	descs, refEmb, refIndex := serialRetrieval(t, g)
@@ -114,8 +114,10 @@ func TestParallelBuildEqualsSerial(t *testing.T) {
 				t.Fatalf("GOMAXPROCS %d: doc %d is (%d, %s, %q), serial build (%d, %s, %q)", procs, i,
 					docs[i].ID, docs[i].Kind, docs[i].Text, d.NodeID, d.Label, d.Text)
 			}
-			if !sameVectorBits(slab[i*dim:(i+1)*dim], refEmb.Embed(d.Text)) {
-				t.Fatalf("GOMAXPROCS %d: vector of doc %d (node %d) differs from Fit + Embed", procs, i, d.NodeID)
+			want := refEmb.Embed(d.Text)
+			vector.Normalize(want)
+			if !sameVectorBits(slab[i*dim:(i+1)*dim], want) {
+				t.Fatalf("GOMAXPROCS %d: vector of doc %d (node %d) differs from Fit + Embed + Normalize", procs, i, d.NodeID)
 			}
 		}
 		index, err := vector.NewIndexFromSlab(dim, docs, slab)

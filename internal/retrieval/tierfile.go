@@ -10,20 +10,23 @@ import (
 	"io"
 	"io/fs"
 	"math"
-	"os"
 	"slices"
 	"unsafe"
 
 	"chatiyp/internal/embed"
 	"chatiyp/internal/graph"
 	"chatiyp/internal/iyp"
+	"chatiyp/internal/mmap"
 	"chatiyp/internal/vector"
 )
 
 // The tier file (IYPVEC1) holds a Tier and the stamp of the base
 // snapshot it was built from. Like IYPCOL1 it is written in native byte
-// order, which a probe in the header enforces, so that the slab and the
-// integer sections are the read bytes reinterpreted in place:
+// order, which a probe in the header enforces, and mapped read-only, so
+// that the slab and the integer sections are the mapped bytes
+// reinterpreted in place. The slab holds the rows normalized
+// (vector.Normalize), so the index borrows them as they are; version 1
+// held them raw, and reads as stale.
 //
 //	off  size
 //	  0     8  magic "IYPVEC1\n"
@@ -41,7 +44,7 @@ import (
 //	 80     8  bytes of string blob
 //	 88        sections, in this order:
 //	           document frequencies  (hash u32, n u32), ascending hash
-//	           slab                  docs × dim float32, padded to 8
+//	           slab                  docs × dim float32, normalized, padded to 8
 //	           IDs                   docs × int64
 //	           string ends           (kinds + docs) × uint32 offsets into the blob
 //	           kind of each doc      docs × uint8
@@ -49,7 +52,7 @@ import (
 //	size-4  4  CRC-32C of every byte before it
 const (
 	tierMagic       = "IYPVEC1\n"
-	tierVersion     = 1
+	tierVersion     = 2
 	tierEndianProbe = 0x0102030405060708
 	tierHeaderSize  = 88
 
@@ -185,27 +188,35 @@ func (t *Tier) Write(w io.Writer, stamp Stamp) error {
 	return bw.Flush()
 }
 
-// Read reads the tier file at path with one read into the heap and
-// validates it for the base snapshot stamped want, whose graph v is: the
-// checksum, the stamp and the embedder configuration, the document IDs
+// Read maps the tier file at path read-only and validates it for the
+// base snapshot stamped want, whose graph v is: the checksum over every
+// byte, the stamp and the embedder configuration, the document IDs
 // against iyp.DescribableNodes(v), and a strided sample of sampleDocs
-// documents, first and last included, re-described and re-embedded bit
-// for bit — which catches a Describe or embedding code that changed
-// since the file was written. The tier's strings and slab alias the
-// read buffer, so it is held once.
+// documents, first and last included, re-described, re-embedded and
+// normalized bit for bit — which catches a Describe or embedding code
+// that changed since the file was written. The tier's strings, IDs,
+// document frequencies and slab alias the mapping, which is never
+// unmapped once the file validates (like the base snapshot's); a
+// checkpoint replaces the file by rename, so the mapping keeps its
+// bytes. A file that fails a check is unmapped.
 //
 // Every failure wraps exactly one of ErrNoTier, ErrStale, ErrCorrupt
 // and ErrDrift. None of them is fatal to a caller: the tier is derived
 // data, and Build makes it again.
 func Read(path string, want Stamp, v *graph.View) (*Tier, error) {
-	data, err := os.ReadFile(path)
+	m, err := mmap.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNoTier
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return parse(data, want, v)
+	t, err := parse(m.Data, want, v)
+	if err != nil {
+		m.Close()
+		return nil, err
+	}
+	return t, nil
 }
 
 // parse decodes and validates a tier file's bytes (see Read). Every
@@ -330,7 +341,9 @@ func parse(data []byte, want Stamp, v *graph.View) (*Tier, error) {
 			return nil, fmt.Errorf("%w: doc %d (node %d) is described differently", ErrDrift, i, d.NodeID)
 		}
 		row := t.Slab[i*dim : (i+1)*dim]
-		for j, x := range emb.Embed(d.Text) {
+		vec := emb.Embed(d.Text)
+		vector.Normalize(vec)
+		for j, x := range vec {
 			if math.Float32bits(x) != math.Float32bits(row[j]) {
 				return nil, fmt.Errorf("%w: doc %d (node %d) embeds differently", ErrDrift, i, d.NodeID)
 			}
@@ -402,8 +415,8 @@ func aliasSlice[T any](b []byte) []T {
 }
 
 // alignedCopy returns data, or an 8-byte-aligned copy when its base
-// address is not (a large heap buffer always is; the format must not
-// depend on it).
+// address is not (a mapping and a large heap buffer always are; the
+// format must not depend on it).
 func alignedCopy(data []byte) []byte {
 	if uintptr(unsafe.Pointer(&data[0]))%8 == 0 {
 		return data

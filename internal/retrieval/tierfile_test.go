@@ -11,10 +11,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"chatiyp/internal/graph"
 	"chatiyp/internal/retrieval"
+	"chatiyp/internal/vector"
 )
 
 // tinyGraph holds a handful of described nodes: a tier file small
@@ -129,6 +131,63 @@ func TestTierFileRejects(t *testing.T) {
 		if _, err := retrieval.Parse(slices.Clone(data), stamp, other.View()); !errors.Is(err, retrieval.ErrDrift) {
 			t.Errorf("%s: error %v, want %v", name, err, retrieval.ErrDrift)
 		}
+	}
+}
+
+// TestTierFileReadRejects: Read, which maps the file, reports an empty
+// file and one cut inside a section as corrupt, without a fault.
+func TestTierFileReadRejects(t *testing.T) {
+	g := tinyGraph()
+	stamp := retrieval.Stamp{StoreID: 1}
+	data := tierBytes(t, retrieval.Build(g.View()), stamp)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		data []byte
+		want error
+		text string
+	}{
+		{"empty", nil, retrieval.ErrCorrupt, "bad magic"},
+		{"cut", data[:len(data)/2], retrieval.ErrCorrupt, "file size mismatch"},
+		{"cut and resealed", reseal(data[:len(data)/2]), retrieval.ErrCorrupt, "exceeds the file"},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := retrieval.Read(path, stamp, g.View())
+		if !errors.Is(err, c.want) || !strings.Contains(err.Error(), c.text) {
+			t.Errorf("%s: Read error %v, want %v saying %q", c.name, err, c.want, c.text)
+		}
+	}
+}
+
+// TestTierFileReadAllocs: reading a tier and indexing it allocates well
+// under the file's size, as the slab, the IDs and the texts stay in the
+// mapping; a read into the heap allocates the whole file. What it does
+// allocate is the docs, the IDF table and the validation's listing of
+// the describable nodes, about a third of this fixture's file.
+func TestTierFileReadAllocs(t *testing.T) {
+	g := buildFixture()
+	stamp := retrieval.Stamp{StoreID: 1}
+	path := filepath.Join(t.TempDir(), "retrieval.iypv")
+	writeTier(t, path, retrieval.Build(g.View()), stamp)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tier, err := retrieval.Read(path, stamp, g.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vector.NewIndexFromSlab(tier.Embedder.Dim(), tier.Docs, tier.Slab); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(st.Size())/2 {
+		t.Fatalf("reading and indexing a %d-byte tier file allocated %d bytes, want under half of it", st.Size(), grew)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -93,11 +94,25 @@ func normalized(v embed.Vector) embed.Vector {
 	if !ok {
 		return v
 	}
-	out := make(embed.Vector, len(v))
-	for i, x := range v {
-		out[i] = float32(float64(x) * inv)
-	}
+	out := v.Clone()
+	scale(out, inv)
 	return out
+}
+
+// Normalize scales v to unit L2 length in place, with the arithmetic
+// Add stores a vector with, so a row Normalize wrote is bit for bit the
+// row Add would store. Zero vectors, and vectors within 1e-9 of unit
+// length, are left as they are.
+func Normalize(v embed.Vector) {
+	if inv, ok := rescale(v); ok {
+		scale(v, inv)
+	}
+}
+
+func scale(v embed.Vector, inv float64) {
+	for i, x := range v {
+		v[i] = float32(float64(x) * inv)
+	}
 }
 
 // rescale returns the factor that brings v to unit length, and false
@@ -120,7 +135,12 @@ type Index struct {
 	// walks front to back. Cosine similarity against a normalized query
 	// is then a pure dot product — the scan never recomputes magnitudes.
 	slab []float32
-	byID map[int64]int
+	// borrowed is set while docs and slab are the slices
+	// NewIndexFromSlab was given, which the index must not write: the
+	// first replace copies both to the heap. Their capacity is clipped
+	// to their length, so the first append copies them too.
+	borrowed bool
+	byID     map[int64]int
 }
 
 var _ Searcher = (*Index)(nil)
@@ -131,29 +151,24 @@ func NewIndex(dim int) *Index {
 }
 
 // NewIndexFromSlab returns an index over docs whose vectors are the
-// rows of slab: row i, slab[i*dim:(i+1)*dim], belongs to docs[i]. The
-// index adopts both slices instead of copying them — rows are
-// normalized in place, exactly as Add normalizes, and every docs[i].Vec
-// is pointed at its row — so a bulk build holds each vector once. Search
-// results equal those of an index filled by Add in the same order.
-// Document IDs must be distinct.
+// rows of slab: row i, slab[i*dim:(i+1)*dim], belongs to docs[i] and is
+// already normalized (Normalize), as Add would store it. The index
+// borrows both slices instead of copying them and never writes them:
+// slab may be a read-only file mapping, and any number of indexes may
+// share one slab. An Add that replaces a document copies both to the
+// heap first. docs[i].Vec is not read. Search results equal those of an
+// index filled by Add with the same vectors in the same order. Document
+// IDs must be distinct.
 func NewIndexFromSlab(dim int, docs []Doc, slab []float32) (*Index, error) {
 	if len(slab) != len(docs)*dim {
 		return nil, fmt.Errorf("%w: slab holds %d values, %d docs need %d", ErrDimMismatch, len(slab), len(docs), len(docs)*dim)
 	}
-	ix := &Index{dim: dim, docs: docs, slab: slab, byID: make(map[int64]int, len(docs))}
+	ix := &Index{dim: dim, docs: slices.Clip(docs), slab: slices.Clip(slab), borrowed: true, byID: make(map[int64]int, len(docs))}
 	for i := range docs {
 		if _, dup := ix.byID[docs[i].ID]; dup {
 			return nil, fmt.Errorf("vector: duplicate document ID %d in bulk load", docs[i].ID)
 		}
 		ix.byID[docs[i].ID] = i
-		row := ix.row(i)
-		if inv, ok := rescale(row); ok {
-			for j, x := range row {
-				row[j] = float32(float64(x) * inv)
-			}
-		}
-		docs[i].Vec = row
 	}
 	return ix, nil
 }
@@ -182,6 +197,9 @@ func (ix *Index) Add(d Doc) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if pos, ok := ix.byID[d.ID]; ok {
+		if ix.borrowed {
+			ix.docs, ix.slab, ix.borrowed = slices.Clone(ix.docs), slices.Clone(ix.slab), false
+		}
 		ix.docs[pos] = d
 		copy(ix.row(pos), nv)
 		return nil
@@ -189,6 +207,7 @@ func (ix *Index) Add(d Doc) error {
 	ix.byID[d.ID] = len(ix.docs)
 	ix.docs = append(ix.docs, d)
 	ix.slab = append(ix.slab, nv...)
+	ix.borrowed = false // a borrowed slice's clipped capacity made both appends copy
 	return nil
 }
 

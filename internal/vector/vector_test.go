@@ -1,16 +1,23 @@
 package vector
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"chatiyp/internal/embed"
+	"chatiyp/internal/mmap"
 )
 
 func buildIndex(t testing.TB, texts map[int64]string) (*Index, *embed.Embedder) {
@@ -251,13 +258,12 @@ func TestExactSearchNormalizedScoring(t *testing.T) {
 	}
 }
 
-// TestIndexFromSlabEqualsAdd: an index that adopts a slab of vectors
-// answers every search with the IDs and the score bits of an index
-// filled by Add with the same vectors, whether or not the rows arrive
-// at unit length, and keeps answering so after a replace and an append.
-func TestIndexFromSlabEqualsAdd(t *testing.T) {
-	const dim, n = 16, 300
-	rng := rand.New(rand.NewSource(7))
+// slabFixture returns n documents with random vectors, a third of them
+// normalized in float32 like Embed's output: as an index filled by Add
+// with those vectors, and as the docs and the slab of Normalize'd rows
+// NewIndexFromSlab takes.
+func slabFixture(t *testing.T, rng *rand.Rand, dim, n int) (*Index, []Doc, []float32) {
+	t.Helper()
 	added := NewIndex(dim)
 	docs := make([]Doc, n)
 	slab := make([]float32, n*dim)
@@ -266,7 +272,7 @@ func TestIndexFromSlabEqualsAdd(t *testing.T) {
 		for j := range row {
 			row[j] = float32(rng.NormFloat64())
 		}
-		if i%3 == 0 { // a third arrives normalized in float32, like Embed's output
+		if i%3 == 0 {
 			inv := 1 / embed.Vector(row).Norm()
 			for j := range row {
 				row[j] = float32(float64(row[j]) * inv)
@@ -278,53 +284,75 @@ func TestIndexFromSlabEqualsAdd(t *testing.T) {
 		if err := added.Add(d); err != nil {
 			t.Fatal(err)
 		}
+		Normalize(row)
 	}
+	return added, docs, slab
+}
+
+// slabEdits replace the first document of a slabFixture and append one.
+var slabEdits = []Doc{
+	{ID: 1000, Text: "replaced", Kind: "IXP", Vec: embed.Vector{0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4}},
+	{ID: 5000, Text: "appended", Kind: "AS", Vec: embed.Vector{1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+}
+
+// edit adds each of ds to ix, in order.
+func edit(t *testing.T, ix *Index, ds ...Doc) {
+	t.Helper()
+	for _, d := range ds {
+		if err := ix.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// sameSearches asserts that got answers 50 random queries, every other
+// one filtered, with the IDs, texts and score bits of want.
+func sameSearches(t *testing.T, stage string, rng *rand.Rand, got, want *Index) {
+	t.Helper()
+	for trial := 0; trial < 50; trial++ {
+		q := make(embed.Vector, want.Dim())
+		for j := range q {
+			q[j] = float32(rng.NormFloat64())
+		}
+		var filter Filter
+		if trial%2 == 1 {
+			filter = KindFilter("IXP")
+		}
+		wh, err1 := want.Search(q, 7, filter)
+		gh, err2 := got.Search(q, 7, filter)
+		if err1 != nil || err2 != nil || len(gh) != len(wh) {
+			t.Fatalf("%s: search errors %v / %v, %d vs %d hits", stage, err2, err1, len(gh), len(wh))
+		}
+		for i := range wh {
+			if gh[i].Doc.ID != wh[i].Doc.ID || gh[i].Doc.Text != wh[i].Doc.Text ||
+				math.Float64bits(gh[i].Score) != math.Float64bits(wh[i].Score) {
+				t.Fatalf("%s, trial %d, hit %d: (%d, %v), want (%d, %v)", stage, trial, i,
+					gh[i].Doc.ID, gh[i].Score, wh[i].Doc.ID, wh[i].Score)
+			}
+		}
+	}
+}
+
+// TestIndexFromSlabEqualsAdd: an index over a slab of Normalize'd rows
+// answers every search with the IDs and the score bits of an index
+// filled by Add with the vectors before normalization, whether or not
+// they arrive at unit length, and keeps answering so after a replace
+// and an append.
+func TestIndexFromSlabEqualsAdd(t *testing.T) {
+	const dim, n = 16, 300
+	rng := rand.New(rand.NewSource(7))
+	added, docs, slab := slabFixture(t, rng, dim, n)
 	bulk, err := NewIndexFromSlab(dim, docs, slab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compare := func(stage string) {
-		t.Helper()
-		for trial := 0; trial < 50; trial++ {
-			q := make(embed.Vector, dim)
-			for j := range q {
-				q[j] = float32(rng.NormFloat64())
-			}
-			var filter Filter
-			if trial%2 == 1 {
-				filter = KindFilter("IXP")
-			}
-			want, err1 := added.Search(q, 7, filter)
-			got, err2 := bulk.Search(q, 7, filter)
-			if err1 != nil || err2 != nil || len(got) != len(want) {
-				t.Fatalf("%s: search errors %v / %v, %d vs %d hits", stage, err1, err2, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Doc.ID != want[i].Doc.ID || got[i].Doc.Text != want[i].Doc.Text ||
-					math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-					t.Fatalf("%s, trial %d, hit %d: bulk (%d, %v), added (%d, %v)", stage, trial, i,
-						got[i].Doc.ID, got[i].Score, want[i].Doc.ID, want[i].Score)
-				}
-			}
-		}
-	}
-	compare("after the bulk load")
-
-	for _, d := range []Doc{
-		{ID: 1000, Text: "replaced", Kind: "IXP", Vec: embed.Vector{0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4}},
-		{ID: 5000, Text: "appended", Kind: "AS", Vec: embed.Vector{1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
-	} {
-		if err := added.Add(d); err != nil {
-			t.Fatal(err)
-		}
-		if err := bulk.Add(d); err != nil {
-			t.Fatal(err)
-		}
-	}
+	sameSearches(t, "after the bulk load", rng, bulk, added)
+	edit(t, added, slabEdits...)
+	edit(t, bulk, slabEdits...)
 	if bulk.Len() != n+1 {
 		t.Fatalf("Len after a replace and an append = %d, want %d", bulk.Len(), n+1)
 	}
-	compare("after Add on the bulk-loaded index")
+	sameSearches(t, "after Add on the bulk-loaded index", rng, bulk, added)
 
 	if _, err := NewIndexFromSlab(dim, make([]Doc, 3), make([]float32, 2*dim)); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("short slab: err = %v, want ErrDimMismatch", err)
@@ -332,4 +360,103 @@ func TestIndexFromSlabEqualsAdd(t *testing.T) {
 	if _, err := NewIndexFromSlab(dim, []Doc{{ID: 1}, {ID: 1}}, make([]float32, 2*dim)); err == nil {
 		t.Error("duplicate document IDs were accepted")
 	}
+}
+
+// TestIndexFromSlabReadOnly: indexes over one slab mapped read-only
+// from a file search, take a replace and an append in either order, and
+// answer as an index filled by Add does, without writing the mapping (a
+// write faults) or the docs they were given.
+func TestIndexFromSlabReadOnly(t *testing.T) {
+	const dim, n = 16, 300
+	rng := rand.New(rand.NewSource(9))
+	added, docs, slab := slabFixture(t, rng, dim, n)
+	edited, _, _ := slabFixture(t, rand.New(rand.NewSource(9)), dim, n)
+	edit(t, edited, slabEdits...)
+	// One spare row after the slab, which the slab's capacity reaches:
+	// an append must not write it either.
+	var file bytes.Buffer
+	if err := binary.Write(&file, binary.NativeEndian, append(slab, make([]float32, dim)...)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "slab")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := mmap.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	mapped := unsafe.Slice((*float32)(unsafe.Pointer(&m.Data[0])), len(slab)+dim)[:len(slab)]
+	given := slices.Clone(docs)
+
+	untouched, err := NewIndexFromSlab(dim, docs, mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSearches(t, "on the mapping", rng, untouched, added)
+	for _, order := range [][]Doc{slabEdits, {slabEdits[1], slabEdits[0]}} {
+		ix, err := NewIndexFromSlab(dim, docs, mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(t, ix, order...)
+		sameSearches(t, fmt.Sprintf("after %q, %q", order[0].Text, order[1].Text), rng, ix, edited)
+	}
+	sameSearches(t, "beside the edited indexes", rng, untouched, added)
+
+	if !bytes.Equal(m.Data, file.Bytes()) {
+		t.Fatal("an index wrote into its mapped slab")
+	}
+	if !slices.EqualFunc(docs, given, func(a, b Doc) bool { return a.ID == b.ID && a.Text == b.Text && a.Kind == b.Kind }) {
+		t.Fatal("an index wrote into the docs it was given")
+	}
+}
+
+// TestIndexFromSlabSharedConcurrently: an index keeps answering from a
+// slab it shares with another index that takes writes at the same time
+// (run under -race: a write into the shared slab or docs is a race).
+func TestIndexFromSlabSharedConcurrently(t *testing.T) {
+	const dim, n = 16, 300
+	added, docs, slab := slabFixture(t, rand.New(rand.NewSource(11)), dim, n)
+	shared, err := NewIndexFromSlab(dim, docs, slab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited, err := NewIndexFromSlab(dim, docs, slab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := embed.Vector{0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4} // the replaced document's vector
+	want, err := added.Search(q, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			for _, d := range slabEdits {
+				if err := edited.Add(d); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		got, err := shared.Search(q, 7, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if got[j].Doc.ID != want[j].Doc.ID || got[j].Doc.Text != want[j].Doc.Text ||
+				math.Float64bits(got[j].Score) != math.Float64bits(want[j].Score) {
+				t.Fatalf("search %d, hit %d: (%d, %q, %v), want (%d, %q, %v)", i, j,
+					got[j].Doc.ID, got[j].Doc.Text, got[j].Score, want[j].Doc.ID, want[j].Doc.Text, want[j].Score)
+			}
+		}
+	}
+	wg.Wait()
 }
