@@ -401,29 +401,21 @@ func BenchmarkStreamingLimitedScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		opts cypher.Options
-	}{
-		{"streaming", cypher.Options{}},
-		{"materialized", cypher.Options{DisableStreaming: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := pq.Execute(g, nil, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != 5 {
-					b.Fatal("unexpected result")
-				}
+	b.Run("streaming", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := pq.Execute(g, nil, cypher.Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if len(res.Rows) != 5 {
+				b.Fatal("unexpected result")
+			}
+		}
+	})
 }
 
-// BenchmarkStreamingTopK compares the bounded top-k heap against
+// BenchmarkStreamingTopK measures the bounded top-k heap that replaces
 // full-sort-then-slice for ORDER BY ... LIMIT over the prefix table
 // (the dataset's largest label).
 func BenchmarkStreamingTopK(b *testing.B) {
@@ -436,24 +428,16 @@ func BenchmarkStreamingTopK(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		opts cypher.Options
-	}{
-		{"streaming", cypher.Options{}},
-		{"materialized", cypher.Options{DisableStreaming: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := pq.Execute(g, nil, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != 10 {
-					b.Fatal("unexpected result")
-				}
+	b.Run("streaming", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := pq.Execute(g, nil, cypher.Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if len(res.Rows) != 10 {
+				b.Fatal("unexpected result")
+			}
+		}
+	})
 }

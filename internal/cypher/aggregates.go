@@ -11,8 +11,7 @@ import (
 // applications over a group of rows: aggregate calls are computed across
 // the group, everything else is evaluated on the group's representative
 // row (which, per Cypher grouping rules, is constant within the group).
-// It is shared by the materializing executor and the streaming
-// aggregate operator.
+// It is the per-group body of the streaming aggregate operator.
 func evalAggExpr(ctx *evalCtx, e Expr, group []Row) (graph.Value, error) {
 	if !containsAggregate(e) {
 		if len(group) == 0 {

@@ -6,12 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// This file makes execution cancellation-aware. Every executor — the
-// materializing reference path and the streaming operator pipeline —
-// polls the execution context at a fixed row/candidate interval and
-// aborts with a *CanceledError as soon as the context is done. The
-// check interval bounds how much work one execution performs after
-// cancellation: at most cancelCheckInterval match candidates (or
+// This file makes execution cancellation-aware. The executor polls the
+// execution context at a fixed row/candidate interval and aborts with
+// a *CanceledError as soon as the context is done. The check interval
+// bounds how much work one execution performs after cancellation: at
+// most cancelCheckInterval match candidates (or
 // buffered rows) plus whatever the current candidate expansion emits.
 //
 // Cancellation matters operationally because queries run under the

@@ -23,7 +23,7 @@ func slowFixture(t testing.TB, n int) *graph.Graph {
 
 // slowQuery is a three-way cross product with a blocking aggregate: on
 // the streaming path every row flows through match iterators into the
-// aggregate drain; on the materializing path each MATCH clause expands
+// aggregate drain; on the reference executor each MATCH clause expands
 // the binding table. n=60 gives 216k rows — noticeable work, far below
 // MaxRows.
 const slowQuery = "MATCH (a:N) MATCH (b:N) MATCH (c:N) RETURN count(*)"
@@ -34,14 +34,14 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 	cancel()
 	for _, tc := range []struct {
 		name string
-		opts Options
+		exec execFunc
 	}{
-		{"streaming", Options{}},
-		{"materialized", Options{DisableStreaming: true}},
+		{"streaming", ExecuteWithContext},
+		{"materialized", executeReference},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			start := time.Now()
-			_, err := ExecuteWithContext(ctx, g, slowQuery, nil, tc.opts)
+			_, err := tc.exec(ctx, g, slowQuery, nil, Options{})
 			if !errors.Is(err, ErrCanceled) {
 				t.Fatalf("err = %v, want ErrCanceled", err)
 			}
@@ -59,16 +59,16 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 }
 
 // TestCancelMidScanAbortsEarly cancels a running scan and checks that
-// both executors stop within a small wall-clock bound — far less than
+// the pipeline and the reference executor both stop within a small wall-clock bound — far less than
 // the uncancelled runtime — and report an error matching ErrCanceled.
 func TestCancelMidScanAbortsEarly(t *testing.T) {
 	g := slowFixture(t, 60)
 	for _, tc := range []struct {
 		name string
-		opts Options
+		exec execFunc
 	}{
-		{"streaming", Options{}},
-		{"materialized", Options{DisableStreaming: true}},
+		{"streaming", ExecuteWithContext},
+		{"materialized", executeReference},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -77,7 +77,7 @@ func TestCancelMidScanAbortsEarly(t *testing.T) {
 				cancel()
 			}()
 			start := time.Now()
-			_, err := ExecuteWithContext(ctx, g, slowQuery, nil, tc.opts)
+			_, err := tc.exec(ctx, g, slowQuery, nil, Options{})
 			elapsed := time.Since(start)
 			if !errors.Is(err, ErrCanceled) {
 				t.Fatalf("err = %v (after %v), want ErrCanceled", err, elapsed)
@@ -108,15 +108,15 @@ func TestDeadlineExceededDistinguishable(t *testing.T) {
 	}
 }
 
-// TestStreamingMaterializingAgreeOnCancel pins the satellite contract:
-// both execution paths surface the same ErrCanceled identity for the
+// TestStreamingMaterializingAgreeOnCancel pins that the pipeline and
+// the reference executor surface the same ErrCanceled identity for the
 // same canceled context.
 func TestStreamingMaterializingAgreeOnCancel(t *testing.T) {
 	g := slowFixture(t, 40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, errStream := ExecuteWithContext(ctx, g, slowQuery, nil, Options{})
-	_, errMat := ExecuteWithContext(ctx, g, slowQuery, nil, Options{DisableStreaming: true})
+	_, errMat := executeReference(ctx, g, slowQuery, nil, Options{})
 	if !errors.Is(errStream, ErrCanceled) || !errors.Is(errMat, ErrCanceled) {
 		t.Fatalf("streaming err = %v, materialized err = %v; want both ErrCanceled", errStream, errMat)
 	}
@@ -232,20 +232,20 @@ func TestCancelInsideExpressionEval(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		src  string
-		opts Options
+		exec execFunc
 	}{
-		{"range", "RETURN range(0, 300000000) AS xs", Options{}},
-		{"range-materialized", "RETURN range(0, 300000000) AS xs", Options{DisableStreaming: true}},
-		{"comprehension", "WITH range(0, 5000000) AS xs RETURN [x IN xs WHERE x % 2 = 0 | x * 2] AS ys", Options{}},
-		{"quantifier", "WITH range(0, 5000000) AS xs RETURN all(x IN xs WHERE x >= 0) AS ok", Options{}},
-		{"unwind", "UNWIND range(0, 50000000) AS x RETURN count(x)", Options{}},
-		{"unwind-materialized", "UNWIND range(0, 50000000) AS x RETURN count(x)", Options{DisableStreaming: true}},
+		{"range", "RETURN range(0, 300000000) AS xs", ExecuteWithContext},
+		{"range-materialized", "RETURN range(0, 300000000) AS xs", executeReference},
+		{"comprehension", "WITH range(0, 5000000) AS xs RETURN [x IN xs WHERE x % 2 = 0 | x * 2] AS ys", ExecuteWithContext},
+		{"quantifier", "WITH range(0, 5000000) AS xs RETURN all(x IN xs WHERE x >= 0) AS ok", ExecuteWithContext},
+		{"unwind", "UNWIND range(0, 50000000) AS x RETURN count(x)", ExecuteWithContext},
+		{"unwind-materialized", "UNWIND range(0, 50000000) AS x RETURN count(x)", executeReference},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, err := ExecuteWithContext(ctx, g, tc.src, nil, tc.opts)
+			_, err := tc.exec(ctx, g, tc.src, nil, Options{})
 			elapsed := time.Since(start)
 			if !errors.Is(err, ErrCanceled) {
 				t.Fatalf("err = %v (after %v), want ErrCanceled", err, elapsed)

@@ -25,12 +25,11 @@ func (r Row) clone() Row {
 // pattern predicates), the parameters, and executor options.
 type evalCtx struct {
 	g *graph.Graph
-	// r is the read path of this execution. The streaming executor pins
-	// one immutable graph.View per query — every hop, label scan, and
-	// index lookup of the whole execution then reads one consistent
-	// epoch, lock-free. The materializing executor (write queries, the
-	// DisableStreaming reference path) sets r = g so reads observe the
-	// query's own writes through the locked live graph.
+	// r is the read path of this execution. A read-only query pins one
+	// immutable graph.View — every hop, label scan, and index lookup of
+	// the whole execution then reads one consistent epoch, lock-free. A
+	// write query sets r = g so reads observe the query's own writes
+	// through the locked live graph.
 	r      graph.Reader
 	params map[string]graph.Value
 	opts   Options

@@ -7,65 +7,50 @@ import (
 	"chatiyp/internal/graph"
 )
 
-// Explain parses a query and describes the execution plan: for
-// streamable (read-only) queries, the Volcano-style operator pipeline
-// the streaming executor pulls rows through — including which node
-// pattern anchors each MATCH, through which access path (bound
-// variable, property index, label scan, full scan), and where a LIMIT
-// was pushed below the projection or an ORDER BY ... LIMIT became a
-// bounded top-k sort. Queries with write clauses fall back to the
-// materializing executor and are described clause by clause. Explain
-// does not execute the query. The cyphershell exposes it as
+// Explain parses a query and describes the execution plan: the
+// Volcano-style operator pipeline the executor pulls rows through —
+// including which node pattern anchors each MATCH, through which access
+// path (bound variable, property index, label scan, full scan), where a
+// LIMIT was pushed below the projection or an ORDER BY ... LIMIT became
+// a bounded top-k sort, and where a write clause runs as a barrier.
+// Explain does not execute the query; a query that fails planning
+// returns the planning error. The cyphershell exposes it as
 // `EXPLAIN <query>`.
 func Explain(g *graph.Graph, src string, opts Options) (string, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return "", err
 	}
-	return describeAll(g, q, opts), nil
+	return describeAll(g, q, opts)
 }
 
 // describeAll renders the execution plan of a parsed query and its
 // UNION parts — the shared body of Explain and PreparedQuery.Describe.
 // Nothing is executed, so write queries too are planned and described
 // against one pinned View: EXPLAIN never touches the locked graph API.
-func describeAll(g *graph.Graph, q *Query, opts Options) string {
+func describeAll(g *graph.Graph, q *Query, opts Options) (string, error) {
 	opts = opts.withDefaults()
 	view := g.View()
 	plan := planQueryOn(g, view, view.Version(), q, opts)
+	if plan.err != nil {
+		return "", plan.err
+	}
 	var b strings.Builder
-	if plan.streamable && !opts.DisableStreaming {
-		b.WriteString("streaming operator pipeline\n")
-		renderStages(&b, view, plan.parts[0], opts)
-		for i, part := range q.Unions {
-			kind := "UNION"
-			if part.All {
-				kind = "UNION ALL"
-			}
-			dedup := " (deduplicating)"
-			if i+1 > plan.lastDedup {
-				dedup = ""
-			}
-			fmt.Fprintf(&b, "%s (part %d)%s\n", kind, i+2, dedup)
-			renderStages(&b, view, plan.parts[i+1], opts)
-		}
-		return b.String()
-	}
-	reason := "write clauses or non-final RETURN"
-	if opts.DisableStreaming {
-		reason = "Options.DisableStreaming"
-	}
-	fmt.Fprintf(&b, "materializing executor (%s)\n", reason)
-	describeQuery(&b, view, q, opts, "")
+	b.WriteString("streaming operator pipeline\n")
+	renderStages(&b, view, plan.parts[0], opts)
 	for i, part := range q.Unions {
 		kind := "UNION"
 		if part.All {
 			kind = "UNION ALL"
 		}
-		fmt.Fprintf(&b, "%s (part %d)\n", kind, i+2)
-		describeQuery(&b, view, part.Query, opts, "")
+		dedup := " (deduplicating)"
+		if i+1 > plan.lastDedup {
+			dedup = ""
+		}
+		fmt.Fprintf(&b, "%s (part %d)%s\n", kind, i+2, dedup)
+		renderStages(&b, view, plan.parts[i+1], opts)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // renderStages walks one part's operator chain from the seed to the
@@ -141,6 +126,26 @@ func renderStages(b *strings.Builder, view *graph.View, sp *stagePlan, opts Opti
 				len(s.orderBy), skipLimitString(s.skipE, s.limitE))
 		case stageSkip:
 			fmt.Fprintf(b, "  skip: %s\n", ExprString(s.skipE))
+		case stageWrite:
+			switch x := s.write.(type) {
+			case *CreateClause:
+				fmt.Fprintf(b, "CREATE %d pattern(s)\n", len(x.Patterns))
+			case *MergeClause:
+				fmt.Fprintf(b, "MERGE %s\n", PatternString(x.Pattern))
+			case *SetClause:
+				fmt.Fprintf(b, "SET %d item(s)\n", len(x.Items))
+			case *RemoveClause:
+				fmt.Fprintf(b, "REMOVE %d item(s)\n", len(x.Items))
+			case *DeleteClause:
+				kw := "DELETE"
+				if x.Detach {
+					kw = "DETACH DELETE"
+				}
+				fmt.Fprintf(b, "%s %d expression(s)\n", kw, len(x.Exprs))
+			}
+			for _, v := range writeVars(s.write) {
+				bound[v] = true
+			}
 		case stageLimit:
 			if s.pushed {
 				fmt.Fprintf(b, "LIMIT %s (pushed below projection: scan stops after %s row(s))\n",
@@ -208,85 +213,6 @@ func skipLimitString(skipE, limitE Expr) string {
 		return ExprString(limitE)
 	}
 	return ExprString(skipE) + "+" + ExprString(limitE)
-}
-
-func describeQuery(b *strings.Builder, view *graph.View, q *Query, opts Options, indent string) {
-	ctx := &evalCtx{r: view, opts: opts}
-	m := &matcher{ctx: ctx, usedRels: map[int64]bool{}}
-	bound := map[string]bool{}
-	for _, cl := range q.Clauses {
-		switch x := cl.(type) {
-		case *MatchClause:
-			kw := "MATCH"
-			if x.Optional {
-				kw = "OPTIONAL MATCH"
-			}
-			m.hints = planMatch(view, x, opts)
-			for _, pat := range x.Patterns {
-				fmt.Fprintf(b, "%s%s %s\n", indent, kw, PatternString(pat))
-				anchor := pickAnchorWithBound(m, pat, bound)
-				np := pat.Nodes[anchor]
-				fmt.Fprintf(b, "%s  anchor: node %d %s via %s\n",
-					indent, anchor, nodePatternLabel(np), accessPath(view, np, bound, m.hints, opts))
-				hops := len(pat.Rels)
-				if hops > 0 {
-					fmt.Fprintf(b, "%s  expand: %d relationship hop(s)\n", indent, hops)
-				}
-				for _, v := range patternVars([]*Pattern{pat}) {
-					bound[v] = true
-				}
-			}
-			if x.Where != nil {
-				fmt.Fprintf(b, "%s  filter: %s\n", indent, ExprString(x.Where))
-			}
-		case *UnwindClause:
-			fmt.Fprintf(b, "%sUNWIND %s AS %s\n", indent, ExprString(x.Expr), x.Alias)
-			bound[x.Alias] = true
-		case *WithClause:
-			names := make([]string, len(x.Items))
-			for i, it := range x.Items {
-				names[i] = it.Name()
-			}
-			fmt.Fprintf(b, "%sWITH %s\n", indent, strings.Join(names, ", "))
-			bound = map[string]bool{}
-			for _, n := range names {
-				bound[n] = true
-			}
-		case *ReturnClause:
-			names := make([]string, len(x.Items))
-			for i, it := range x.Items {
-				names[i] = it.Name()
-			}
-			agg := false
-			for _, it := range x.Items {
-				if it.Expr != nil && containsAggregate(it.Expr) {
-					agg = true
-				}
-			}
-			line := "project"
-			if agg {
-				line = "aggregate"
-			}
-			fmt.Fprintf(b, "%sRETURN (%s): %s\n", indent, line, strings.Join(names, ", "))
-			if len(x.OrderBy) > 0 {
-				fmt.Fprintf(b, "%s  sort: %d key(s)\n", indent, len(x.OrderBy))
-			}
-		case *CreateClause:
-			fmt.Fprintf(b, "%sCREATE %d pattern(s)\n", indent, len(x.Patterns))
-		case *MergeClause:
-			fmt.Fprintf(b, "%sMERGE %s\n", indent, PatternString(x.Pattern))
-		case *SetClause:
-			fmt.Fprintf(b, "%sSET %d item(s)\n", indent, len(x.Items))
-		case *RemoveClause:
-			fmt.Fprintf(b, "%sREMOVE %d item(s)\n", indent, len(x.Items))
-		case *DeleteClause:
-			kw := "DELETE"
-			if x.Detach {
-				kw = "DETACH DELETE"
-			}
-			fmt.Fprintf(b, "%s%s %d expression(s)\n", indent, kw, len(x.Exprs))
-		}
-	}
 }
 
 // pickAnchorWithBound mirrors the matcher's anchor choice against a

@@ -41,15 +41,22 @@ type queryPlan struct {
 	hints          map[*MatchClause]matchHints
 
 	// parts holds one operator pipeline per query part (the main query
-	// followed by its UNION parts); streamable reports whether every
-	// part built one, i.e. the whole query can run on the streaming
-	// executor. lastDedup is the index of the last part introduced by a
-	// plain (deduplicating) UNION, or -1: rows from parts up to and
-	// including it dedupe against everything seen so far, which is
-	// exactly what the materializing path's repeated dedup converges to.
-	parts      []*stagePlan
-	streamable bool
-	lastDedup  int
+	// followed by its UNION parts). lastDedup is the index of the last
+	// part introduced by a plain (deduplicating) UNION, or -1: rows
+	// from parts up to and including it dedupe against everything seen
+	// so far, which is what deduplicating the concatenation after each
+	// plain UNION converges to.
+	parts     []*stagePlan
+	lastDedup int
+	// writes reports that some part has a write clause: the execution
+	// then reads the live graph instead of a pinned View, so later
+	// clauses observe earlier writes, and never runs a parallel
+	// segment.
+	writes bool
+	// err is the planning failure (a clause after RETURN, nothing to
+	// project, mismatched UNION columns). A query with a plan error
+	// fails before any stage runs.
+	err error
 }
 
 // planQuery derives the full plan for a query (including UNION parts)
@@ -78,21 +85,43 @@ func planQueryOn(g *graph.Graph, r graph.Reader, version uint64, q *Query, opts 
 	}
 	p.planInto(r, q, opts)
 
-	p.streamable = true
 	p.lastDedup = -1
+	p.writes = !q.ReadOnly()
 	for i, part := range append([]*Query{q}, unionQueries(q)...) {
-		sp := buildStages(part, p.hints, opts)
-		if sp == nil {
-			p.streamable = false
-			p.parts = nil
-			break
+		sp, err := buildStages(part, p.hints, opts)
+		if err != nil {
+			p.parts, p.err = nil, err
+			return p
+		}
+		if p.writes {
+			sp.par = nil // morsel workers share an immutable View
 		}
 		p.parts = append(p.parts, sp)
 		if i > 0 && !q.Unions[i-1].All {
 			p.lastDedup = i
 		}
 	}
+	p.err = checkUnionColumns(p.parts)
 	return p
+}
+
+// checkUnionColumns requires every UNION part to return the columns of
+// the first, by count and name.
+func checkUnionColumns(parts []*stagePlan) error {
+	cols := parts[0].cols
+	for _, sp := range parts[1:] {
+		if len(sp.cols) != len(cols) {
+			return evalErrorf("UNION requires the same number of columns (%d vs %d)",
+				len(cols), len(sp.cols))
+		}
+		for i := range sp.cols {
+			if sp.cols[i] != cols[i] {
+				return evalErrorf("UNION requires matching column names (%q vs %q)",
+					cols[i], sp.cols[i])
+			}
+		}
+	}
+	return nil
 }
 
 // unionQueries lists the UNION part queries in order.

@@ -65,8 +65,13 @@ func (pq *PreparedQuery) ExecuteContext(ctx context.Context, g *graph.Graph, par
 
 // Describe returns the EXPLAIN-style access plan this prepared query
 // would use against g — the same format as Explain, without re-parsing.
+// A query that fails planning describes as its planning error.
 func (pq *PreparedQuery) Describe(g *graph.Graph, opts Options) string {
-	return describeAll(g, pq.query, opts)
+	plan, err := describeAll(g, pq.query, opts)
+	if err != nil {
+		return err.Error()
+	}
+	return plan
 }
 
 // planFor returns the current plan for (g, opts), rebuilding it when

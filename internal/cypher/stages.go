@@ -2,21 +2,22 @@ package cypher
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// This file builds the logical operator tree ("stages") of a read-only
-// query part: the Volcano-style pipeline the streaming executor pulls
-// rows through. Each stage is one operator with a single input; the
-// chain runs seed → match/unwind → (pushed limit) → project/aggregate
-// → distinct → sort/top-k → skip → limit. Planning is static: star
-// expansion, column naming, pushdown decisions and streamability are
-// all derived from the AST and the variable scope, never from data.
+// This file builds the logical operator tree ("stages") of a query
+// part: the Volcano-style pipeline the executor pulls rows through.
+// Each stage is one operator with a single input; the chain runs seed
+// → match/unwind/write → (pushed limit) → project/aggregate → distinct
+// → sort/top-k → skip → limit. Planning is static: star expansion,
+// column naming, pushdown decisions and scope are all derived from the
+// AST and the variable scope, never from data.
 //
-// Queries the pipeline cannot stream — write clauses, or a RETURN that
-// is not the final clause — fall back to the materializing executor,
-// which is also the reference implementation the equivalence tests
-// compare against (Options.DisableStreaming forces it).
+// A write clause is a pipeline breaker (stageWrite): it drains its
+// input, applies the clause to every row in order, and only then
+// yields. Nothing upstream sees its writes; everything downstream sees
+// all of them.
 
 // stageKind enumerates the logical operators.
 type stageKind int
@@ -32,6 +33,7 @@ const (
 	stageTopK                      // bounded heap for ORDER BY ... LIMIT
 	stageSkip                      // drop the first SKIP rows
 	stageLimit                     // cap rows; `pushed` means below projection
+	stageWrite                     // CREATE/MERGE/SET/REMOVE/DELETE barrier
 )
 
 // stage is one logical operator node. Exactly one of the payload
@@ -49,6 +51,9 @@ type stage struct {
 
 	// stageFilter
 	cond Expr
+
+	// stageWrite
+	write Clause
 
 	// stageProject
 	items  []*ReturnItem // star-expanded
@@ -70,33 +75,23 @@ type stage struct {
 // at the output end (pull from root, data flows from the seed).
 type stagePlan struct {
 	root *stage
-	cols []string // RETURN column names
+	cols []string // RETURN column names; nil for a part with no RETURN
 	// par is the statically-eligible parallel prefix of the chain, or
 	// nil; whether an execution actually engages it is a per-run
 	// cardinality decision (see parallel.go).
 	par *parallelSegment
 }
 
-// buildStages derives the operator pipeline for one query part, or nil
-// when the part cannot stream (write clauses, or clauses after RETURN,
-// which the materializing executor reports as an error). hints is the
-// per-MATCH index analysis planInto already performed for this plan.
-func buildStages(q *Query, hints map[*MatchClause]matchHints, opts Options) *stagePlan {
+// buildStages derives the operator pipeline for one query part. hints
+// is the per-MATCH index analysis planInto already performed for this
+// plan. A part that cannot run is a plan-time error, so it fails
+// before any of its stages has written anything.
+func buildStages(q *Query, hints map[*MatchClause]matchHints, opts Options) (*stagePlan, error) {
 	root := &stage{kind: stageSeed}
 	var scope []string
 	addScope := func(names ...string) {
 		for _, n := range names {
-			if n == "" {
-				continue
-			}
-			found := false
-			for _, s := range scope {
-				if s == n {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if n != "" && !slices.Contains(scope, n) {
 				scope = append(scope, n)
 			}
 		}
@@ -110,9 +105,9 @@ func buildStages(q *Query, hints map[*MatchClause]matchHints, opts Options) *sta
 			root = &stage{kind: stageUnwind, input: root, unwind: x}
 			addScope(x.Alias)
 		case *WithClause:
-			proj, cols, ok := buildProjection(root, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, false)
-			if !ok {
-				return nil
+			proj, cols, err := buildProjection(root, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, false)
+			if err != nil {
+				return nil, err
 			}
 			root = proj
 			scope = cols
@@ -121,30 +116,47 @@ func buildStages(q *Query, hints map[*MatchClause]matchHints, opts Options) *sta
 			}
 		case *ReturnClause:
 			if i != len(q.Clauses)-1 {
-				return nil // "clause after RETURN" — let the reference path error
+				return nil, evalErrorf("clause after RETURN")
 			}
-			proj, cols, ok := buildProjection(root, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, true)
-			if !ok {
-				return nil
+			proj, cols, err := buildProjection(root, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, true)
+			if err != nil {
+				return nil, err
 			}
 			sp := &stagePlan{root: proj, cols: cols}
 			sp.par = analyzeParallel(sp)
-			return sp
+			return sp, nil
+		case *CreateClause, *MergeClause, *SetClause, *RemoveClause, *DeleteClause:
+			root = &stage{kind: stageWrite, input: root, write: cl}
+			addScope(writeVars(cl)...)
 		default:
-			return nil // write clauses execute on the materializing path
+			return nil, evalErrorf("unsupported clause %T", cl)
 		}
 	}
-	return nil // no RETURN: nothing to stream, and writes are excluded above
+	// No RETURN: the part runs for its writes and yields no rows.
+	return &stagePlan{root: root}, nil
+}
+
+// writeVars lists the variables a write clause brings into scope:
+// CREATE and MERGE bind their pattern variables; SET, REMOVE and
+// DELETE bind nothing.
+func writeVars(cl Clause) []string {
+	switch x := cl.(type) {
+	case *CreateClause:
+		return patternVars(x.Patterns)
+	case *MergeClause:
+		return patternVars([]*Pattern{x.Pattern})
+	}
+	return nil
 }
 
 // buildProjection assembles the projection chain of one WITH/RETURN:
 // (pushed limit) → project → distinct → sort|top-k → skip → limit. It
-// returns ok=false when the items cannot be planned statically.
+// fails when the items expand to nothing.
 func buildProjection(input *stage, scope []string, items []*ReturnItem, distinct bool,
-	orderBy []*SortItem, skipE, limitE Expr, final bool) (*stage, []string, bool) {
-	expanded, cols, ok := expandItems(items, scope)
-	if !ok {
-		return nil, nil, false
+	orderBy []*SortItem, skipE, limitE Expr, final bool) (*stage, []string, error) {
+	expanded, cols, err := expandItems(items, scope)
+	if err != nil {
+		return nil, nil, err
 	}
 	hasAgg := false
 	for _, it := range expanded {
@@ -189,12 +201,12 @@ func buildProjection(input *stage, scope []string, items []*ReturnItem, distinct
 			root = &stage{kind: stageLimit, input: root, limitE: limitE}
 		}
 	}
-	return root, cols, true
+	return root, cols, nil
 }
 
 // expandItems performs RETURN * expansion against the static scope and
-// derives the output column names, mirroring executor.project exactly.
-func expandItems(items []*ReturnItem, scope []string) ([]*ReturnItem, []string, bool) {
+// derives the output column names.
+func expandItems(items []*ReturnItem, scope []string) ([]*ReturnItem, []string, error) {
 	var expanded []*ReturnItem
 	for _, it := range items {
 		if !it.Star {
@@ -208,7 +220,7 @@ func expandItems(items []*ReturnItem, scope []string) ([]*ReturnItem, []string, 
 		}
 	}
 	if len(expanded) == 0 {
-		return nil, nil, false // "nothing to project" — reference path errors
+		return nil, nil, evalErrorf("nothing to project")
 	}
 	cols := make([]string, len(expanded))
 	seen := map[string]bool{}
@@ -220,5 +232,5 @@ func expandItems(items []*ReturnItem, scope []string) ([]*ReturnItem, []string, 
 		seen[name] = true
 		cols[i] = name
 	}
-	return expanded, cols, true
+	return expanded, cols, nil
 }

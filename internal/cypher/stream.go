@@ -3,21 +3,22 @@ package cypher
 import (
 	"container/heap"
 	"context"
+	"fmt"
 	"sort"
 	"sync/atomic"
 
 	"chatiyp/internal/graph"
 )
 
-// This file is the streaming (Volcano-style) executor: each logical
-// stage (see stages.go) becomes a pull iterator, rows flow one at a
-// time from the scan to the output, and a LIMIT — pushed below the
-// projection when no ORDER BY/DISTINCT/aggregate intervenes — stops
-// the upstream scan as soon as it is satisfied. Blocking operators
-// (sort, aggregation) still materialize their input, bounded by
-// Options.MaxRows; ORDER BY ... LIMIT avoids the full sort with a
-// bounded top-k heap whose tie-breaking is bit-identical to the
-// materializing executor's stable sort.
+// This file is the query executor, a streaming (Volcano-style)
+// pipeline: each logical stage (see stages.go) becomes a pull
+// iterator, rows flow one at a time from the scan to the output, and a
+// LIMIT — pushed below the projection when no ORDER BY/DISTINCT/
+// aggregate intervenes — stops the upstream scan as soon as it is
+// satisfied. Blocking operators (sort, aggregation, write barriers)
+// materialize their input, bounded by Options.MaxRows; ORDER BY ...
+// LIMIT avoids the full sort with a bounded top-k heap whose
+// tie-breaking is bit-identical to a stable full sort.
 
 // rowIter is the pull interface every row-level operator implements.
 // Next returns the next row, or ok=false at end of stream. Returned
@@ -52,7 +53,8 @@ func StreamStats() (rowsStreamed, limitEarlyExit int64) {
 // streamExec is the shared state of one streaming execution.
 type streamExec struct {
 	ctx      *evalCtx
-	limitHit bool // some limit reached its cap and stopped the pull
+	limitHit bool       // some limit reached its cap and stopped the pull
+	stats    WriteStats // side effects of the write barriers run so far
 
 	// Morsel-driven parallel state (see parallel.go). par is the
 	// current part's statically-eligible segment; runs tracks the live
@@ -63,29 +65,58 @@ type streamExec struct {
 	pre  *morselPreset
 }
 
-// executeStream runs a fully-planned streamable query: every part's
-// operator pipeline is pulled in sequence, with UNION dedup applied to
-// the parts the plan marked (see queryPlan.lastDedup) and
-// Options.RowLimit enforced across the whole output.
-func executeStream(ctx context.Context, g *graph.Graph, plan *queryPlan, params map[string]graph.Value, opts Options) (*Result, error) {
-	// Pin one immutable snapshot for the whole execution (all UNION
-	// parts included): every hop and scan is lock-free against one
-	// consistent epoch, and concurrent writers are never blocked.
-	se := &streamExec{ctx: &evalCtx{g: g, r: g.View(), params: params, opts: opts, plan: plan, ctx: ctx}}
-	defer se.stopRuns()
-	cols := plan.parts[0].cols
-	for _, sp := range plan.parts[1:] {
-		if len(sp.cols) != len(cols) {
-			return nil, evalErrorf("UNION requires the same number of columns (%d vs %d)",
-				len(cols), len(sp.cols))
-		}
-		for i := range sp.cols {
-			if sp.cols[i] != cols[i] {
-				return nil, evalErrorf("UNION requires matching column names (%q vs %q)",
-					cols[i], sp.cols[i])
-			}
-		}
+// newStreamExec is the prologue every execution shares: it applies the
+// option defaults, normalizes the parameters, plans the query when no
+// plan is given, and surfaces the plan's error — so a query the
+// planner rejects fails before any stage runs and writes nothing.
+func newStreamExec(ctx context.Context, g *graph.Graph, q *Query, plan *queryPlan, params map[string]any, opts Options) (*streamExec, error) {
+	opts = opts.withDefaults()
+	normParams, err := normalizeParams(params)
+	if err != nil {
+		return nil, err
 	}
+	if plan == nil {
+		plan = planQuery(g, q, opts)
+	}
+	if plan.err != nil {
+		return nil, plan.err
+	}
+	// A read-only query pins one immutable snapshot for the whole
+	// execution (all UNION parts included): every hop and scan is
+	// lock-free against one consistent epoch, and concurrent writers
+	// are never blocked. A write query reads the live graph, so a
+	// clause observes the writes of the barriers before it.
+	var r graph.Reader = g
+	if !plan.writes {
+		r = g.View()
+	}
+	return &streamExec{ctx: &evalCtx{g: g, r: r, params: normParams, opts: opts, plan: plan, ctx: ctx}}, nil
+}
+
+// normalizeParams converts caller-supplied parameter values to the
+// engine's value model.
+func normalizeParams(params map[string]any) (map[string]graph.Value, error) {
+	out := make(map[string]graph.Value, len(params))
+	for k, v := range params {
+		nv, err := graph.NormalizeValue(v)
+		if err != nil {
+			return nil, fmt.Errorf("cypher: parameter $%s: %w", k, err)
+		}
+		out[k] = nv
+	}
+	return out, nil
+}
+
+// run executes the plan to completion: every part's operator pipeline
+// is pulled in sequence, with UNION dedup applied to the parts the plan
+// marked (see queryPlan.lastDedup) and Options.RowLimit enforced across
+// the whole output. Past the cap a read-only query stops pulling; a
+// write query drains every remaining part, discarding its rows, so the
+// cap never skips a write.
+func (se *streamExec) run() (*Result, error) {
+	defer se.stopRuns()
+	plan, opts := se.ctx.plan, se.ctx.opts
+	cols := plan.parts[0].cols
 	res := &Result{Columns: cols, Rows: [][]graph.Value{}}
 	var seen map[string]bool
 	if plan.lastDedup >= 0 {
@@ -113,6 +144,9 @@ parts:
 			if !ok {
 				continue parts
 			}
+			if cols == nil || res.Truncated {
+				continue // no RETURN, or draining a write query past the cap
+			}
 			vals := make([]graph.Value, len(cols))
 			for j, c := range cols {
 				vals[j] = row[c]
@@ -127,12 +161,16 @@ parts:
 			if opts.RowLimit > 0 && len(res.Rows) == opts.RowLimit {
 				// A row beyond the cap exists, so the flag is exact.
 				res.Truncated = true
-				se.limitHit = true
-				break parts
+				if !plan.writes {
+					se.limitHit = true
+					break parts
+				}
+				continue
 			}
 			res.Rows = append(res.Rows, vals)
 		}
 	}
+	res.Stats = se.stats
 	streamRowsStreamed.Add(int64(len(res.Rows)))
 	if se.limitHit {
 		streamLimitEarlyExit.Add(1)
@@ -176,6 +214,12 @@ func (se *streamExec) build(s *stage) (rowIter, error) {
 			return nil, err
 		}
 		return &filterIter{se: se, cond: s.cond, input: in}, nil
+	case stageWrite:
+		in, err := se.build(s.input)
+		if err != nil {
+			return nil, err
+		}
+		return &writeIter{se: se, cl: s.write, input: in}, nil
 	case stageLimit:
 		if s.pushed {
 			in, err := se.build(s.input)
@@ -258,8 +302,8 @@ func (se *streamExec) buildProj(s *stage) (projIter, error) {
 	return nil, evalErrorf("internal: stage kind %d in projection pipeline", s.kind)
 }
 
-// evalSkip evaluates a SKIP expression (nil means 0) with the same
-// validation as the materializing executor.
+// evalSkip evaluates a SKIP expression (nil means 0), which must be a
+// non-negative integer.
 func (se *streamExec) evalSkip(e Expr) (int, error) {
 	if e == nil {
 		return 0, nil
@@ -275,8 +319,8 @@ func (se *streamExec) evalSkip(e Expr) (int, error) {
 	return int(s), nil
 }
 
-// evalLimit evaluates a LIMIT expression with the same validation as
-// the materializing executor.
+// evalLimit evaluates a LIMIT expression, which must be a
+// non-negative integer.
 func (se *streamExec) evalLimit(e Expr) (int, error) {
 	v, err := se.ctx.eval(e, Row{})
 	if err != nil {
@@ -423,7 +467,7 @@ func (it *matchIter) Next() (Row, bool, error) {
 }
 
 // fillMulti buffers every match of a multi-pattern MATCH for the
-// current input row — the materializing executor's per-row behavior,
+// current input row (relationship uniqueness spans the patterns),
 // bounded by MaxRows.
 func (it *matchIter) fillMulti() error {
 	matches := []Row{it.inRow}
@@ -457,8 +501,7 @@ func (it *matchIter) fillMulti() error {
 }
 
 // filterWhere applies the MATCH's WHERE predicate to the buffered
-// matches (before the optional-null fallback, as the reference
-// executor does).
+// matches, before the optional-null fallback.
 func (it *matchIter) filterWhere() error {
 	if it.m.Where == nil || len(it.buf) == 0 {
 		return nil
@@ -664,8 +707,45 @@ func drainRows(ctx *evalCtx, it rowIter, maxRows int) ([]Row, error) {
 	}
 }
 
+// writeIter is the write barrier: on the first pull it drains its
+// input, applies the clause to every row in order against the live
+// graph, and only then yields the (possibly rebound) rows.
+type writeIter struct {
+	se    *streamExec
+	cl    Clause
+	input rowIter
+
+	rows  []Row
+	pos   int
+	built bool
+}
+
+func (it *writeIter) Next() (Row, bool, error) {
+	if !it.built {
+		rows, err := drainRows(it.se.ctx, it.input, it.se.ctx.opts.MaxRows)
+		if err != nil {
+			return nil, false, err
+		}
+		w := &writer{ctx: it.se.ctx, rows: rows, stats: &it.se.stats}
+		if err := w.apply(it.cl); err != nil {
+			return nil, false, err
+		}
+		if len(w.rows) > it.se.ctx.opts.MaxRows {
+			return nil, false, ErrTooManyRows
+		}
+		it.rows, it.built = w.rows, true
+	}
+	if it.pos >= len(it.rows) {
+		return nil, false, nil
+	}
+	row := it.rows[it.pos]
+	it.pos++
+	return row, true, nil
+}
+
 // distinctIter keeps the first occurrence of each projected row and
-// severs the source scope, as DISTINCT does in the reference executor.
+// severs the source scope: ORDER BY after DISTINCT sees only the
+// projected columns.
 type distinctIter struct {
 	in   projIter
 	cols []string

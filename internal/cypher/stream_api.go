@@ -14,11 +14,10 @@ import (
 // caller instead.
 
 // Stream is a pull iterator over one query execution's result rows.
-// Rows come off the streaming operator pipeline as the scan produces
-// them; queries the streaming executor cannot run (write clauses,
-// Options.DisableStreaming) are executed eagerly on the materializing
-// reference path and replayed row by row, so callers see one interface
-// either way.
+// Rows of a read-only query come off the operator pipeline as the scan
+// produces them. A query with write clauses runs to completion when its
+// Stream is created, because its writes must land whether or not the
+// caller pulls, and its rows are then replayed from memory.
 //
 // A Stream is single-goroutine: calls to Next must not race. Callers
 // must call Close when done (Close is idempotent and implied by
@@ -31,7 +30,7 @@ type Stream struct {
 	counted   bool
 	err       error
 
-	// Streaming state (nil se means the materialized fallback below).
+	// Streaming state of a read-only query.
 	se        *streamExec
 	parts     []*stagePlan
 	partIdx   int
@@ -41,7 +40,7 @@ type Stream struct {
 	rowLimit  int
 	emitted   int
 
-	// Materialized fallback state.
+	// The completed result of a write query, replayed by Next.
 	res *Result
 	ri  int
 }
@@ -76,48 +75,28 @@ func (pq *PreparedQuery) StreamContext(ctx context.Context, g *graph.Graph, para
 // here rather than on the first Next, so transports can still answer
 // with a clean HTTP error before committing to a 200.
 func executeQueryStream(ctx context.Context, g *graph.Graph, q *Query, plan *queryPlan, params map[string]any, opts Options) (*Stream, error) {
-	opts = opts.withDefaults()
-	if plan == nil {
-		plan = planQuery(g, q, opts)
+	// A read-only query's snapshot is pinned here, when the stream is
+	// created — a long-lived cursor page or NDJSON response then reads
+	// one consistent graph epoch for its entire lifetime, no matter how
+	// many writes land while rows trickle out.
+	se, err := newStreamExec(ctx, g, q, plan, params, opts)
+	if err != nil {
+		return nil, err
 	}
-	if !plan.streamable || opts.DisableStreaming {
-		res, err := executeQueryPlanned(ctx, g, q, plan, params, opts)
+	plan = se.ctx.plan
+	if plan.writes {
+		res, err := se.run()
 		if err != nil {
 			return nil, err
 		}
 		return &Stream{cols: res.Columns, truncated: res.Truncated, res: res}, nil
 	}
-	normParams := make(map[string]graph.Value, len(params))
-	for k, v := range params {
-		nv, err := graph.NormalizeValue(v)
-		if err != nil {
-			return nil, evalErrorf("parameter $%s: %v", k, err)
-		}
-		normParams[k] = nv
-	}
-	cols := plan.parts[0].cols
-	for _, sp := range plan.parts[1:] {
-		if len(sp.cols) != len(cols) {
-			return nil, evalErrorf("UNION requires the same number of columns (%d vs %d)",
-				len(cols), len(sp.cols))
-		}
-		for i := range sp.cols {
-			if sp.cols[i] != cols[i] {
-				return nil, evalErrorf("UNION requires matching column names (%q vs %q)",
-					cols[i], sp.cols[i])
-			}
-		}
-	}
 	s := &Stream{
-		cols: cols,
-		// The snapshot is pinned here, when the stream is created — a
-		// long-lived cursor page or NDJSON response then reads one
-		// consistent graph epoch for its entire lifetime, no matter how
-		// many writes land while rows trickle out.
-		se:        &streamExec{ctx: &evalCtx{g: g, r: g.View(), params: normParams, opts: opts, plan: plan, ctx: ctx}},
+		cols:      plan.parts[0].cols,
+		se:        se,
 		parts:     plan.parts,
 		lastDedup: plan.lastDedup,
-		rowLimit:  opts.RowLimit,
+		rowLimit:  se.ctx.opts.RowLimit,
 	}
 	if plan.lastDedup >= 0 {
 		s.seen = map[string]bool{}
@@ -186,7 +165,7 @@ func (s *Stream) Next() ([]graph.Value, bool, error) {
 		}
 		if s.rowLimit > 0 && s.emitted == s.rowLimit {
 			// A row beyond the cap exists, so the flag is exact — same
-			// semantics as Result.Truncated on the materializing paths.
+			// semantics as Result.Truncated.
 			s.truncated = true
 			s.se.limitHit = true
 			s.finish()
@@ -202,9 +181,9 @@ func (s *Stream) Next() ([]graph.Value, bool, error) {
 // ok=false.
 func (s *Stream) Truncated() bool { return s.truncated }
 
-// Stats returns the write statistics of the execution. Streamed
-// queries are read-only by construction, so stats are only non-zero
-// when the materializing fallback ran a write query.
+// Stats returns the write statistics of the execution. Only a query
+// with write clauses has non-zero stats, and it has completed by the
+// time its Stream exists.
 func (s *Stream) Stats() WriteStats {
 	if s.res != nil {
 		return s.res.Stats
@@ -243,8 +222,8 @@ func (s *Stream) fail(err error) ([]graph.Value, bool, error) {
 }
 
 // flushCounters mirrors the emitted-row count into the process-global
-// streaming counters exactly once. The materialized fallback already
-// counted (or deliberately bypassed) them inside Execute.
+// streaming counters exactly once. A write query's run already counted
+// them.
 func (s *Stream) flushCounters() {
 	if s.counted || s.res != nil {
 		return

@@ -25,25 +25,32 @@ func drainStream(t *testing.T, s *Stream) [][]graph.Value {
 	}
 }
 
-// TestStreamAPIEquivalenceCorpus drives the whole conformance corpus
-// through the public pull iterator and checks the collected rows are
-// bit-identical to the materializing executor's.
+// TestStreamAPIEquivalenceCorpus drives the whole conformance corpus,
+// and the error-parity queries, through the public pull iterator and
+// checks the collected rows are bit-identical to the reference
+// executor's, and that both fail on the same queries.
 func TestStreamAPIEquivalenceCorpus(t *testing.T) {
 	g := fixture(t)
-	for _, src := range streamEquivCorpus {
-		mres, merr := ExecuteWith(g, src, nil, Options{DisableStreaming: true})
+	for _, src := range append(append([]string(nil), streamEquivCorpus...), errorParityCorpus...) {
+		mres, merr := executeReference(context.Background(), g, src, nil, Options{})
 		st, serr := ExecuteStream(g, src, nil)
+		var rows [][]graph.Value
+		if serr == nil {
+			// Plan-time errors surface from ExecuteStream itself,
+			// runtime errors from Next.
+			rows = [][]graph.Value{}
+			for {
+				row, ok, err := st.Next()
+				if err != nil || !ok {
+					serr = err
+					break
+				}
+				rows = append(rows, row)
+			}
+			st.Close()
+		}
 		if (serr == nil) != (merr == nil) {
-			// Plan-time errors must surface from ExecuteStream itself;
-			// runtime errors are checked below.
-			if serr != nil {
-				continue
-			}
-			_, _, nerr := st.Next()
-			if (nerr == nil) != (merr == nil) {
-				t.Fatalf("%s: error divergence: stream=%v materialized=%v", src, nerr, merr)
-			}
-			continue
+			t.Fatalf("%s: error divergence: stream=%v reference=%v", src, serr, merr)
 		}
 		if serr != nil {
 			continue
@@ -51,11 +58,9 @@ func TestStreamAPIEquivalenceCorpus(t *testing.T) {
 		if !reflect.DeepEqual(st.Columns(), mres.Columns) {
 			t.Fatalf("%s: columns diverge: %v vs %v", src, st.Columns(), mres.Columns)
 		}
-		rows := drainStream(t, st)
 		if !reflect.DeepEqual(rows, mres.Rows) {
-			t.Fatalf("%s: rows diverge:\nstream:       %v\nmaterialized: %v", src, rows, mres.Rows)
+			t.Fatalf("%s: rows diverge:\nstream:    %v\nreference: %v", src, rows, mres.Rows)
 		}
-		st.Close()
 	}
 }
 
@@ -77,8 +82,8 @@ func TestStreamAPIRowLimitTruncates(t *testing.T) {
 
 func TestStreamAPIMaterializedFallback(t *testing.T) {
 	g := fixture(t)
-	// A write query cannot stream; the fallback must replay the
-	// materialized result and carry its stats.
+	// A write query runs to completion when its Stream is created;
+	// the Stream replays the result and carries its stats.
 	st, err := ExecuteStream(g, "CREATE (x:Thing {name: 'streamed'}) RETURN x.name", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,10 +11,10 @@ import (
 	"chatiyp/internal/graph"
 )
 
-// Streaming/materialized equivalence: every read-only query must
-// produce bit-identical columns, rows (including order) and stats on
-// the streaming operator pipeline and on the materializing reference
-// executor (Options.DisableStreaming).
+// Streaming/materialized equivalence: every query must produce
+// bit-identical columns, rows (including order) and stats on the
+// streaming operator pipeline and on the materializing reference
+// executor (executeReference).
 
 // streamEquivCorpus is the conformance corpus both executors run: a
 // broad sweep of read shapes, with deliberate weight on the pipeline's
@@ -99,12 +100,8 @@ var streamEquivCorpus = []string{
 // outcomes are identical.
 func runBoth(t *testing.T, g *graph.Graph, src string, params map[string]any, opts Options) (*Result, *Result) {
 	t.Helper()
-	streamOpts := opts
-	streamOpts.DisableStreaming = false
-	matOpts := opts
-	matOpts.DisableStreaming = true
-	sres, serr := ExecuteWith(g, src, params, streamOpts)
-	mres, merr := ExecuteWith(g, src, params, matOpts)
+	sres, serr := ExecuteWith(g, src, params, opts)
+	mres, merr := executeReference(context.Background(), g, src, params, opts)
 	if (serr == nil) != (merr == nil) {
 		t.Fatalf("%s: error divergence: streaming=%v materialized=%v", src, serr, merr)
 	}
@@ -218,39 +215,42 @@ func TestStreamingTopKTieOrdering(t *testing.T) {
 	}
 }
 
+// errorParityCorpus holds queries every executor must reject.
+var errorParityCorpus = []string{
+	"MATCH (a:AS) RETURN a.asn LIMIT -1",
+	"MATCH (a:AS) RETURN a.asn SKIP -2",
+	"MATCH (a:AS) RETURN a.asn ORDER BY a.asn LIMIT 'x'",
+	"MATCH (a:AS) RETURN nope(a)",
+	"RETURN $missing",
+	"MATCH (a:AS) RETURN a.name UNION MATCH (a:AS) RETURN a.name, a.asn",
+	"MATCH (a:AS) RETURN a.name AS x UNION MATCH (a:AS) RETURN a.name AS y",
+}
+
 func TestStreamingErrorParity(t *testing.T) {
 	g := fixture(t)
-	for _, src := range []string{
-		"MATCH (a:AS) RETURN a.asn LIMIT -1",
-		"MATCH (a:AS) RETURN a.asn SKIP -2",
-		"MATCH (a:AS) RETURN a.asn ORDER BY a.asn LIMIT 'x'",
-		"MATCH (a:AS) RETURN nope(a)",
-		"RETURN $missing",
-		"MATCH (a:AS) RETURN a.name UNION MATCH (a:AS) RETURN a.name, a.asn",
-		"MATCH (a:AS) RETURN a.name AS x UNION MATCH (a:AS) RETURN a.name AS y",
-	} {
+	for _, src := range errorParityCorpus {
 		runBoth(t, g, src, nil, Options{}) // asserts both paths error
 	}
 }
 
 func TestRowLimitTruncation(t *testing.T) {
 	g := fixture(t) // 3 AS nodes
-	for _, disable := range []bool{false, true} {
-		opts := Options{RowLimit: 2, DisableStreaming: disable}
-		res, err := ExecuteWith(g, "MATCH (a:AS) RETURN a.asn ORDER BY a.asn", nil, opts)
+	for _, exec := range []execFunc{ExecuteWithContext, executeReference} {
+		ctx := context.Background()
+		res, err := exec(ctx, g, "MATCH (a:AS) RETURN a.asn ORDER BY a.asn", nil, Options{RowLimit: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Rows) != 2 || !res.Truncated {
-			t.Fatalf("disable=%v: rows=%d truncated=%v, want 2/true", disable, len(res.Rows), res.Truncated)
+			t.Fatalf("rows=%d truncated=%v, want 2/true", len(res.Rows), res.Truncated)
 		}
 		// Cap at or above the natural size must not set the flag.
-		res, err = ExecuteWith(g, "MATCH (a:AS) RETURN a.asn", nil, Options{RowLimit: 3, DisableStreaming: disable})
+		res, err = exec(ctx, g, "MATCH (a:AS) RETURN a.asn", nil, Options{RowLimit: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Rows) != 3 || res.Truncated {
-			t.Fatalf("disable=%v: rows=%d truncated=%v, want 3/false", disable, len(res.Rows), res.Truncated)
+			t.Fatalf("rows=%d truncated=%v, want 3/false", len(res.Rows), res.Truncated)
 		}
 	}
 	// The truncated prefix matches between the executors.
@@ -258,7 +258,7 @@ func TestRowLimitTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := ExecuteWith(g, "MATCH (a:AS) RETURN a.asn ORDER BY a.asn", nil, Options{RowLimit: 2, DisableStreaming: true})
+	mres, err := executeReference(context.Background(), g, "MATCH (a:AS) RETURN a.asn ORDER BY a.asn", nil, Options{RowLimit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,14 +269,14 @@ func TestRowLimitTruncation(t *testing.T) {
 
 // TestStreamingAvoidsTooManyRows is the headline semantic improvement:
 // a LIMIT query over an intermediate that would overflow the
-// materializing executor's MaxRows succeeds on the pipeline because
+// reference executor's MaxRows succeeds on the pipeline because
 // the pushed-down limit stops the scan first.
 func TestStreamingAvoidsTooManyRows(t *testing.T) {
 	g := chainGraph(t, 300)
 	src := "MATCH (a:N)-[:NEXT]->(b) RETURN a.i LIMIT 3" // 299 intermediate rows
 	opts := Options{MaxRows: 100}
-	if _, err := ExecuteWith(g, src, nil, Options{MaxRows: 100, DisableStreaming: true}); err == nil {
-		t.Fatal("materializing executor should overflow MaxRows")
+	if _, err := executeReference(context.Background(), g, src, nil, Options{MaxRows: 100}); err == nil {
+		t.Fatal("reference executor should overflow MaxRows")
 	}
 	res, err := ExecuteWith(g, src, nil, opts)
 	if err != nil {
@@ -378,5 +378,149 @@ func TestStreamingPreparedQueries(t *testing.T) {
 	}
 	if v, ok := res.Value(); !ok || v != "NewAS" {
 		t.Fatalf("replanned streaming result = %v", res.Rows)
+	}
+}
+
+// writeCase is one write-equivalence scenario: steps run in order on
+// the same graph, each through both executors.
+type writeCase struct {
+	steps  []string
+	params map[string]any
+	opts   Options
+}
+
+// runBothWrites runs every step of wc on the pipeline against one fresh
+// fixture and on the reference executor against another, and fails
+// unless each step agrees on error-ness, columns, rows, truncation and
+// stats, and the two graphs dump to the same JSON lines afterwards.
+func runBothWrites(t *testing.T, wc writeCase) {
+	t.Helper()
+	gs, gm := fixture(t), fixture(t)
+	for _, src := range wc.steps {
+		sres, serr := ExecuteWith(gs, src, wc.params, wc.opts)
+		mres, merr := executeReference(context.Background(), gm, src, wc.params, wc.opts)
+		if (serr == nil) != (merr == nil) {
+			t.Fatalf("%s: error divergence: streaming=%v reference=%v", src, serr, merr)
+		}
+		if serr == nil {
+			if !reflect.DeepEqual(sres.Columns, mres.Columns) {
+				t.Fatalf("%s: columns diverge: %v vs %v", src, sres.Columns, mres.Columns)
+			}
+			if !reflect.DeepEqual(sres.Rows, mres.Rows) {
+				t.Fatalf("%s: rows diverge:\nstreaming: %v\nreference: %v", src, sres.Rows, mres.Rows)
+			}
+			if sres.Truncated != mres.Truncated {
+				t.Fatalf("%s: truncated diverges: %v vs %v", src, sres.Truncated, mres.Truncated)
+			}
+			if sres.Stats != mres.Stats {
+				t.Fatalf("%s: stats diverge: %+v vs %+v", src, sres.Stats, mres.Stats)
+			}
+		}
+		var ds, dm strings.Builder
+		if err := gs.WriteJSONLines(&ds); err != nil {
+			t.Fatal(err)
+		}
+		if err := gm.WriteJSONLines(&dm); err != nil {
+			t.Fatal(err)
+		}
+		if ds.String() != dm.String() {
+			t.Fatalf("%s: graphs diverge:\nstreaming:\n%s\nreference:\n%s", src, ds.String(), dm.String())
+		}
+	}
+}
+
+// TestStreamingEquivalenceWrites holds the pipeline's write barriers to
+// the reference executor's per-clause semantics: a clause cannot read
+// its own output, later rows see earlier rows' writes, and later
+// clauses see all of them.
+func TestStreamingEquivalenceWrites(t *testing.T) {
+	for _, wc := range []writeCase{
+		{steps: []string{"MATCH (a:AS) CREATE (:AS {asn: a.asn + 1})"}},
+		{steps: []string{"MATCH (a:AS) CREATE (:AS {asn: a.asn + 1}) MATCH (c:AS) RETURN count(c)"}},
+		{steps: []string{"MATCH (a:AS) CREATE (b:AS {asn: a.asn + 1}) RETURN a.asn, b.asn ORDER BY b.asn"}},
+		{steps: []string{
+			"UNWIND [1, 1, 2] AS x MERGE (n:M {k: x}) ON CREATE SET n.c = x ON MATCH SET n.m = x RETURN n.k, n.c, n.m",
+			"MATCH (n:M) RETURN n.k, n.c, n.m ORDER BY n.k",
+		}},
+		{steps: []string{"MATCH (a:AS {asn: 2497}), (b:AS {asn: 64500}) MERGE (a)-[r:PEERS_WITH]->(b) RETURN type(r)"}},
+		{steps: []string{"CREATE (a:X {v: 1}) WITH a MERGE (a)-[:R]->(b:X {v: 2}) RETURN b.v"}},
+		{steps: []string{
+			"MATCH (a:AS) WHERE a.asn > 3000 SET a.big = true, a:Big RETURN a.asn ORDER BY a.asn",
+			"MATCH (b:Big) RETURN b.asn, b.big ORDER BY b.asn",
+		}},
+		{steps: []string{"MATCH (a:AS {asn: 2497}) SET a.name = 'x' WITH a MATCH (b:AS) RETURN b.name ORDER BY b.name"}},
+		{steps: []string{"MATCH (a:AS) WITH a WHERE a.asn < 3000 SET a.small = true"}},
+		{steps: []string{
+			"MATCH (a:AS {asn: 2497}) REMOVE a.name, a:AS WITH a MATCH (b:AS) RETURN count(b)",
+			"MATCH (n) WHERE n.asn = 2497 RETURN labels(n), n.name",
+		}},
+		{steps: []string{
+			"MATCH (:AS)-[r:ORIGINATE]->(p:Prefix {prefix: '203.0.113.0/24'}) DELETE r",
+			"MATCH (:AS)-[o:ORIGINATE]->() RETURN count(o)",
+		}},
+		{steps: []string{"MATCH (a:AS {asn: 64500}) DETACH DELETE a WITH count(*) AS n MATCH (b:AS) RETURN b.asn ORDER BY b.asn"}},
+		{steps: []string{"MATCH (a:AS {asn: 2497}) DELETE a"}}, // has relationships: errors
+		{steps: []string{"MATCH (a:AS) WITH a ORDER BY a.asn DESC LIMIT 2 CREATE (:Top {asn: a.asn}) RETURN a.asn"}},
+		{steps: []string{"OPTIONAL MATCH (z:Nope) SET z.x = 1 RETURN z"}},
+		{steps: []string{"CREATE (a:X) RETURN 1 AS n UNION ALL CREATE (b:Y) RETURN 2 AS n"}},
+		{steps: []string{"UNWIND [1, 2] AS x CREATE (:U {x: x}) RETURN 1 AS n UNION MATCH (u:U) RETURN count(u) AS n"}},
+		// A runtime error on the second row keeps the first row's write.
+		{steps: []string{"UNWIND [1, 0] AS x CREATE (:D {v: 1 / x})", "MATCH (d:D) RETURN d.v"}},
+		// The two write shapes of the cypher_rw workload.
+		{steps: []string{
+			"MATCH (a:AS {asn:$x}) CREATE (n:BenchNote {id:$i, text:$t})-[:NOTED]->(a)",
+			"MATCH (n:BenchNote {id:$i}) SET n.text = $t",
+			"MATCH (n:BenchNote) RETURN count(n)",
+		}, params: map[string]any{"x": 2497, "i": 7, "t": "note"}},
+	} {
+		runBothWrites(t, wc)
+	}
+}
+
+// TestStreamingEquivalenceRowLimitWrites: once Options.RowLimit has cut
+// the result, a write query still runs every later part, so the cap
+// never skips a write.
+func TestStreamingEquivalenceRowLimitWrites(t *testing.T) {
+	for _, src := range []string{
+		"CREATE (:X) RETURN 1 AS n UNION ALL RETURN 5 AS n UNION ALL CREATE (:Y) RETURN 2 AS n",
+		"UNWIND [1,2,3] AS x RETURN x AS n UNION ALL CREATE (:Y) RETURN 2 AS n",
+	} {
+		runBothWrites(t, writeCase{steps: []string{src}, opts: Options{RowLimit: 1}})
+		g := fixture(t)
+		before := g.NodeCount()
+		st, err := ExecuteStreamContext(context.Background(), g, src, nil, Options{RowLimit: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := drainStream(t, st); len(rows) != 1 || !st.Truncated() {
+			t.Fatalf("%s: stream rows=%v truncated=%v, want 1 row, truncated", src, rows, st.Truncated())
+		}
+		if created := g.NodeCount() - before; created != st.Stats().NodesCreated || created == 0 {
+			t.Fatalf("%s: stream created %d nodes, stats say %+v", src, created, st.Stats())
+		}
+	}
+}
+
+// TestPlanErrorWritesNothing: a query the planner rejects fails before
+// any stage runs, so neither entry point writes, and the graph's write
+// observer sees nothing.
+func TestPlanErrorWritesNothing(t *testing.T) {
+	for _, src := range []string{
+		"CREATE (:X) RETURN *",
+		"CREATE (:X) RETURN 1 AS a UNION CREATE (:Y) RETURN 2 AS b",
+	} {
+		g := fixture(t)
+		observed := 0
+		g.SetWriteObserver(func(graph.Mutation) { observed++ })
+		before := g.NodeCount()
+		if _, err := Execute(g, src, nil); err == nil {
+			t.Fatalf("%s: Execute accepted it", src)
+		}
+		if _, err := ExecuteStream(g, src, nil); err == nil {
+			t.Fatalf("%s: ExecuteStream accepted it", src)
+		}
+		if g.NodeCount() != before || observed != 0 {
+			t.Fatalf("%s: nodes %d -> %d, %d mutations observed; want no writes", src, before, g.NodeCount(), observed)
+		}
 	}
 }

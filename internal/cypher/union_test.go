@@ -138,6 +138,22 @@ func TestExplainWriteClauses(t *testing.T) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
 		}
 	}
+	// Write stages render inline in the one operator pipeline.
+	plan, err = Explain(g, "MATCH (a:AS) WHERE a.asn = 2497 CREATE (n:Note)-[:ON]->(a) RETURN n", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"anchor: node 0 (a:AS) via property index (AS, asn) via WHERE a.asn = 2497",
+		"CREATE 1 pattern(s)",
+	} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("plan missing %q:\n%s", want, plan)
+		}
+	}
+	if !strings.HasPrefix(plan, "streaming operator pipeline\n") {
+		t.Errorf("write plan does not start with the pipeline header:\n%s", plan)
+	}
 }
 
 func TestUnionWithWrites(t *testing.T) {

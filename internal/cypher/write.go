@@ -6,9 +6,39 @@ import (
 	"chatiyp/internal/graph"
 )
 
+// writer applies one write clause to a whole binding table, row by
+// row in order, against the live graph: a later row observes what an
+// earlier row wrote (a MERGE finds the node a previous row created).
+// The streaming executor's write barrier (stageWrite) drives it over
+// its drained input; stats accumulates the side effects.
+type writer struct {
+	ctx   *evalCtx
+	rows  []Row
+	stats *WriteStats
+}
+
+// apply runs one write clause over w.rows. MERGE replaces w.rows with
+// its matched-or-created rows; the other clauses keep them (CREATE
+// binds its new variables in place).
+func (w *writer) apply(cl Clause) error {
+	switch x := cl.(type) {
+	case *CreateClause:
+		return w.execCreate(x)
+	case *MergeClause:
+		return w.execMerge(x)
+	case *SetClause:
+		return w.execSet(x.Items)
+	case *RemoveClause:
+		return w.execRemove(x)
+	case *DeleteClause:
+		return w.execDelete(x)
+	}
+	return evalErrorf("unsupported clause %T", cl)
+}
+
 // execCreate instantiates each pattern once per binding row, reusing
 // bound endpoint variables and creating everything unbound.
-func (ex *executor) execCreate(c *CreateClause) error {
+func (w *writer) execCreate(c *CreateClause) error {
 	for _, pat := range c.Patterns {
 		for _, r := range pat.Rels {
 			if r.VarLength != nil {
@@ -19,32 +49,27 @@ func (ex *executor) execCreate(c *CreateClause) error {
 			}
 		}
 	}
-	for _, row := range ex.rows {
+	for _, row := range w.rows {
 		for _, pat := range c.Patterns {
-			if err := ex.createPattern(pat, row); err != nil {
+			if err := w.createPattern(pat, row); err != nil {
 				return err
 			}
 		}
 	}
-	var names []string
-	for _, pat := range c.Patterns {
-		names = append(names, patternVars([]*Pattern{pat})...)
-	}
-	ex.addScope(names...)
 	return nil
 }
 
-func (ex *executor) createPattern(pat *Pattern, row Row) error {
+func (w *writer) createPattern(pat *Pattern, row Row) error {
 	nodes := make([]*graph.Node, len(pat.Nodes))
 	for i, np := range pat.Nodes {
-		n, err := ex.resolveOrCreateNode(np, row)
+		n, err := w.resolveOrCreateNode(np, row)
 		if err != nil {
 			return err
 		}
 		nodes[i] = n
 	}
 	for i, rp := range pat.Rels {
-		props, err := ex.evalPropMap(rp.Props, row)
+		props, err := w.evalPropMap(rp.Props, row)
 		if err != nil {
 			return err
 		}
@@ -55,12 +80,12 @@ func (ex *executor) createPattern(pat *Pattern, row Row) error {
 		if rp.Direction == DirLeft {
 			start, end = end, start
 		}
-		r, err := ex.ctx.g.CreateRelationship(start.ID, end.ID, rp.Types[0], props)
+		r, err := w.ctx.g.CreateRelationship(start.ID, end.ID, rp.Types[0], props)
 		if err != nil {
 			return err
 		}
-		ex.stats.RelationshipsCreated++
-		ex.stats.PropertiesSet += len(props)
+		w.stats.RelationshipsCreated++
+		w.stats.PropertiesSet += len(props)
 		if rp.Var != "" {
 			row[rp.Var] = r
 		}
@@ -72,7 +97,7 @@ func (ex *executor) createPattern(pat *Pattern, row Row) error {
 	return nil
 }
 
-func (ex *executor) resolveOrCreateNode(np *NodePattern, row Row) (*graph.Node, error) {
+func (w *writer) resolveOrCreateNode(np *NodePattern, row Row) (*graph.Node, error) {
 	if np.Var != "" {
 		if v, bound := row[np.Var]; bound {
 			n, ok := v.(*graph.Node)
@@ -85,27 +110,27 @@ func (ex *executor) resolveOrCreateNode(np *NodePattern, row Row) (*graph.Node, 
 			return n, nil
 		}
 	}
-	props, err := ex.evalPropMap(np.Props, row)
+	props, err := w.evalPropMap(np.Props, row)
 	if err != nil {
 		return nil, err
 	}
-	n, err := ex.ctx.g.CreateNode(np.Labels, props)
+	n, err := w.ctx.g.CreateNode(np.Labels, props)
 	if err != nil {
 		return nil, err
 	}
-	ex.stats.NodesCreated++
-	ex.stats.PropertiesSet += len(props)
-	ex.stats.LabelsAdded += len(np.Labels)
+	w.stats.NodesCreated++
+	w.stats.PropertiesSet += len(props)
+	w.stats.LabelsAdded += len(np.Labels)
 	if np.Var != "" {
 		row[np.Var] = n
 	}
 	return n, nil
 }
 
-func (ex *executor) evalPropMap(props map[string]Expr, row Row) (map[string]any, error) {
+func (w *writer) evalPropMap(props map[string]Expr, row Row) (map[string]any, error) {
 	out := make(map[string]any, len(props))
 	for k, e := range props {
-		v, err := ex.ctx.eval(e, row)
+		v, err := w.ctx.eval(e, row)
 		if err != nil {
 			return nil, err
 		}
@@ -116,15 +141,15 @@ func (ex *executor) evalPropMap(props map[string]Expr, row Row) (map[string]any,
 
 // execMerge matches the pattern per row; on no match it creates the
 // whole pattern (Neo4j semantics for a fully-unbound MERGE pattern).
-func (ex *executor) execMerge(m *MergeClause) error {
+func (w *writer) execMerge(m *MergeClause) error {
 	for _, r := range m.Pattern.Rels {
 		if r.VarLength != nil {
 			return evalErrorf("MERGE cannot use variable-length relationships")
 		}
 	}
 	var out []Row
-	for _, row := range ex.rows {
-		matcher := &matcher{ctx: ex.ctx, usedRels: map[int64]bool{}}
+	for _, row := range w.rows {
+		matcher := &matcher{ctx: w.ctx, usedRels: map[int64]bool{}}
 		var matches []Row
 		err := matcher.match(m.Pattern, row, func(r Row) bool {
 			matches = append(matches, r)
@@ -135,7 +160,7 @@ func (ex *executor) execMerge(m *MergeClause) error {
 		}
 		if len(matches) > 0 {
 			for _, mr := range matches {
-				if err := ex.applySetItems(m.OnMatchSet, mr); err != nil {
+				if err := w.applySetItems(m.OnMatchSet, mr); err != nil {
 					return err
 				}
 				out = append(out, mr)
@@ -153,22 +178,21 @@ func (ex *executor) execMerge(m *MergeClause) error {
 				return evalErrorf("MERGE creation requires exactly one relationship type")
 			}
 		}
-		if err := ex.createMergePattern(m.Pattern, created); err != nil {
+		if err := w.createMergePattern(m.Pattern, created); err != nil {
 			return err
 		}
-		if err := ex.applySetItems(m.OnCreateSet, created); err != nil {
+		if err := w.applySetItems(m.OnCreateSet, created); err != nil {
 			return err
 		}
 		out = append(out, created)
 	}
-	ex.rows = out
-	ex.addScope(patternVars([]*Pattern{m.Pattern})...)
+	w.rows = out
 	return nil
 }
 
 // createMergePattern is createPattern but allows labels/props on bound
 // variables to be interpreted as constraints already satisfied.
-func (ex *executor) createMergePattern(pat *Pattern, row Row) error {
+func (w *writer) createMergePattern(pat *Pattern, row Row) error {
 	nodes := make([]*graph.Node, len(pat.Nodes))
 	for i, np := range pat.Nodes {
 		if np.Var != "" {
@@ -181,24 +205,24 @@ func (ex *executor) createMergePattern(pat *Pattern, row Row) error {
 				continue
 			}
 		}
-		props, err := ex.evalPropMap(np.Props, row)
+		props, err := w.evalPropMap(np.Props, row)
 		if err != nil {
 			return err
 		}
-		n, err := ex.ctx.g.CreateNode(np.Labels, props)
+		n, err := w.ctx.g.CreateNode(np.Labels, props)
 		if err != nil {
 			return err
 		}
-		ex.stats.NodesCreated++
-		ex.stats.PropertiesSet += len(props)
-		ex.stats.LabelsAdded += len(np.Labels)
+		w.stats.NodesCreated++
+		w.stats.PropertiesSet += len(props)
+		w.stats.LabelsAdded += len(np.Labels)
 		if np.Var != "" {
 			row[np.Var] = n
 		}
 		nodes[i] = n
 	}
 	for i, rp := range pat.Rels {
-		props, err := ex.evalPropMap(rp.Props, row)
+		props, err := w.evalPropMap(rp.Props, row)
 		if err != nil {
 			return err
 		}
@@ -206,12 +230,12 @@ func (ex *executor) createMergePattern(pat *Pattern, row Row) error {
 		if rp.Direction == DirLeft {
 			start, end = end, start
 		}
-		r, err := ex.ctx.g.CreateRelationship(start.ID, end.ID, rp.Types[0], props)
+		r, err := w.ctx.g.CreateRelationship(start.ID, end.ID, rp.Types[0], props)
 		if err != nil {
 			return err
 		}
-		ex.stats.RelationshipsCreated++
-		ex.stats.PropertiesSet += len(props)
+		w.stats.RelationshipsCreated++
+		w.stats.PropertiesSet += len(props)
 		if rp.Var != "" {
 			row[rp.Var] = r
 		}
@@ -219,16 +243,16 @@ func (ex *executor) createMergePattern(pat *Pattern, row Row) error {
 	return nil
 }
 
-func (ex *executor) execSet(items []*SetItem) error {
-	for _, row := range ex.rows {
-		if err := ex.applySetItems(items, row); err != nil {
+func (w *writer) execSet(items []*SetItem) error {
+	for _, row := range w.rows {
+		if err := w.applySetItems(items, row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (ex *executor) applySetItems(items []*SetItem, row Row) error {
+func (w *writer) applySetItems(items []*SetItem, row Row) error {
 	for _, it := range items {
 		v, bound := row[it.Var]
 		if !bound {
@@ -243,36 +267,36 @@ func (ex *executor) applySetItems(items []*SetItem, row Row) error {
 				return evalErrorf("cannot add labels to non-node `%s`", it.Var)
 			}
 			for _, l := range it.Labels {
-				if err := ex.ctx.g.AddNodeLabel(n.ID, l); err != nil {
+				if err := w.ctx.g.AddNodeLabel(n.ID, l); err != nil {
 					return err
 				}
-				ex.stats.LabelsAdded++
+				w.stats.LabelsAdded++
 			}
 			continue
 		}
-		val, err := ex.ctx.eval(it.Expr, row)
+		val, err := w.ctx.eval(it.Expr, row)
 		if err != nil {
 			return err
 		}
 		switch e := v.(type) {
 		case *graph.Node:
-			if err := ex.ctx.g.SetNodeProp(e.ID, it.Prop, val); err != nil {
+			if err := w.ctx.g.SetNodeProp(e.ID, it.Prop, val); err != nil {
 				return err
 			}
 		case *graph.Relationship:
-			if err := ex.ctx.g.SetRelProp(e.ID, it.Prop, val); err != nil {
+			if err := w.ctx.g.SetRelProp(e.ID, it.Prop, val); err != nil {
 				return err
 			}
 		default:
 			return evalErrorf("cannot SET property on %T", v)
 		}
-		ex.stats.PropertiesSet++
+		w.stats.PropertiesSet++
 	}
 	return nil
 }
 
-func (ex *executor) execRemove(rc *RemoveClause) error {
-	for _, row := range ex.rows {
+func (w *writer) execRemove(rc *RemoveClause) error {
+	for _, row := range w.rows {
 		for _, it := range rc.Items {
 			v, bound := row[it.Var]
 			if !bound {
@@ -287,37 +311,37 @@ func (ex *executor) execRemove(rc *RemoveClause) error {
 					return evalErrorf("cannot remove labels from non-node `%s`", it.Var)
 				}
 				for _, l := range it.Labels {
-					if err := ex.ctx.g.RemoveNodeLabel(n.ID, l); err != nil {
+					if err := w.ctx.g.RemoveNodeLabel(n.ID, l); err != nil {
 						return err
 					}
-					ex.stats.LabelsRemoved++
+					w.stats.LabelsRemoved++
 				}
 				continue
 			}
 			switch e := v.(type) {
 			case *graph.Node:
-				if err := ex.ctx.g.SetNodeProp(e.ID, it.Prop, nil); err != nil {
+				if err := w.ctx.g.SetNodeProp(e.ID, it.Prop, nil); err != nil {
 					return err
 				}
 			case *graph.Relationship:
-				if err := ex.ctx.g.SetRelProp(e.ID, it.Prop, nil); err != nil {
+				if err := w.ctx.g.SetRelProp(e.ID, it.Prop, nil); err != nil {
 					return err
 				}
 			default:
 				return evalErrorf("cannot REMOVE property from %T", v)
 			}
-			ex.stats.PropertiesSet++
+			w.stats.PropertiesSet++
 		}
 	}
 	return nil
 }
 
-func (ex *executor) execDelete(d *DeleteClause) error {
+func (w *writer) execDelete(d *DeleteClause) error {
 	deletedNodes := map[int64]bool{}
 	deletedRels := map[int64]bool{}
-	for _, row := range ex.rows {
+	for _, row := range w.rows {
 		for _, e := range d.Exprs {
-			v, err := ex.ctx.eval(e, row)
+			v, err := w.ctx.eval(e, row)
 			if err != nil {
 				return err
 			}
@@ -328,7 +352,7 @@ func (ex *executor) execDelete(d *DeleteClause) error {
 				if deletedNodes[x.ID] {
 					continue
 				}
-				if err := ex.ctx.g.DeleteNode(x.ID, d.Detach); err != nil {
+				if err := w.ctx.g.DeleteNode(x.ID, d.Detach); err != nil {
 					if errors.Is(err, graph.ErrHasRels) {
 						return evalErrorf("cannot delete node %d with relationships; use DETACH DELETE", x.ID)
 					}
@@ -338,35 +362,35 @@ func (ex *executor) execDelete(d *DeleteClause) error {
 					return err
 				}
 				deletedNodes[x.ID] = true
-				ex.stats.NodesDeleted++
+				w.stats.NodesDeleted++
 			case *graph.Relationship:
 				if deletedRels[x.ID] {
 					continue
 				}
-				if err := ex.ctx.g.DeleteRelationship(x.ID); err != nil {
+				if err := w.ctx.g.DeleteRelationship(x.ID); err != nil {
 					if errors.Is(err, graph.ErrRelNotFound) {
 						continue
 					}
 					return err
 				}
 				deletedRels[x.ID] = true
-				ex.stats.RelationshipsDeleted++
+				w.stats.RelationshipsDeleted++
 			case []graph.Value:
 				// DELETE over a collected list of entities.
 				for _, el := range x {
 					switch ee := el.(type) {
 					case *graph.Node:
 						if !deletedNodes[ee.ID] {
-							if err := ex.ctx.g.DeleteNode(ee.ID, d.Detach); err == nil {
+							if err := w.ctx.g.DeleteNode(ee.ID, d.Detach); err == nil {
 								deletedNodes[ee.ID] = true
-								ex.stats.NodesDeleted++
+								w.stats.NodesDeleted++
 							}
 						}
 					case *graph.Relationship:
 						if !deletedRels[ee.ID] {
-							if err := ex.ctx.g.DeleteRelationship(ee.ID); err == nil {
+							if err := w.ctx.g.DeleteRelationship(ee.ID); err == nil {
 								deletedRels[ee.ID] = true
-								ex.stats.RelationshipsDeleted++
+								w.stats.RelationshipsDeleted++
 							}
 						}
 					}

@@ -1,9 +1,9 @@
 package iyp
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"chatiyp/internal/graph"
@@ -43,14 +43,18 @@ type Describable struct {
 // is anchored (exact-match) rather than semantic, matching how ChatIYP
 // builds its vector context over node descriptions.
 func DescribableNodes(v *graph.View) []Describable {
-	var out []Describable
+	n := 0
+	for _, d := range describers {
+		n += len(v.NodesByLabel(d.label))
+	}
+	out := make([]Describable, 0, n)
 	for kind, d := range describers {
 		for _, id := range v.NodesByLabel(d.label) {
 			out = append(out, Describable{NodeID: id, kind: kind})
 		}
 	}
 	// Stable: a node with two described labels keeps the first.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
+	slices.SortStableFunc(out, func(a, b Describable) int { return cmp.Compare(a.NodeID, b.NodeID) })
 	return slices.CompactFunc(out, func(a, b Describable) bool { return a.NodeID == b.NodeID })
 }
 

@@ -323,3 +323,23 @@ func BenchmarkBuildDefault(b *testing.B) {
 		}
 	}
 }
+
+// TestDescribableNodesAllocs pins DescribableNodes, which runs on every
+// retrieval-tier read and build, to one allocation: the result slice,
+// sized up front from the label postings.
+func TestDescribableNodesAllocs(t *testing.T) {
+	g, _, err := Build(ScaleConfig{Seed: 5, ASes: 1200}.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := g.View()
+	nodes := DescribableNodes(v)
+	for i := 1; i < len(nodes); i++ {
+		if nodes[i-1].NodeID >= nodes[i].NodeID {
+			t.Fatalf("nodes %d and %d out of order: %d, %d", i-1, i, nodes[i-1].NodeID, nodes[i].NodeID)
+		}
+	}
+	if got := testing.AllocsPerRun(10, func() { DescribableNodes(v) }); got != 1 {
+		t.Errorf("DescribableNodes: %.1f allocations, want 1", got)
+	}
+}
