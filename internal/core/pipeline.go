@@ -914,11 +914,6 @@ func (p *Pipeline) Metrics() *metrics.Registry {
 	p.metrics.Counter("persist.checkpoints").Set(ps.Checkpoints)
 	p.metrics.Counter("persist.replay_records").Set(ps.ReplayRecords)
 	p.metrics.Counter("graph.load_ns").Set(graph.LastLoadNanos())
-	// Whether (0/1) and for how long the mutable maps of a cold columnar
-	// load were materialized: 0 until the first write.
-	hydrations, hydrateNanos := p.cfg.Graph.HydrationStats()
-	p.metrics.Counter("graph.hydrations").Set(hydrations)
-	p.metrics.Counter("graph.hydrate_ns").Set(hydrateNanos)
 	var scs SemCacheStats
 	if p.semcache != nil {
 		scs = p.semcache.stats()

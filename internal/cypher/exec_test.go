@@ -3,6 +3,7 @@ package cypher
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"chatiyp/internal/graph"
@@ -471,6 +472,31 @@ func TestExecSetRemoveDelete(t *testing.T) {
 	res3 := run(t, g, "MATCH (a:AS) RETURN count(*)", nil)
 	if res3.Rows[0][0] != int64(2) {
 		t.Errorf("AS count after delete = %v", res3.Rows)
+	}
+}
+
+// TestDeleteCollectedList: DELETE over a collected list deletes, fails
+// and counts exactly as DELETE of the same entities bound one by one.
+func TestDeleteCollectedList(t *testing.T) {
+	g := graph.New()
+	run(t, g, "CREATE (a:A)-[:R]->(b:B), (:C), (:C)", nil)
+	if _, err := Execute(g, "MATCH (a:A) WITH collect(a) AS xs DELETE xs", nil); err == nil || !strings.Contains(err.Error(), "DETACH DELETE") {
+		t.Fatalf("DELETE of a collected node with relationships: err = %v, want the DETACH DELETE error", err)
+	}
+	if got := single(t, g, "MATCH (a:A) RETURN count(a)"); got != int64(1) {
+		t.Fatalf("the failed DELETE removed the node: count = %v", got)
+	}
+	res := run(t, g, "MATCH (c:C) WITH collect(c) AS xs DELETE xs RETURN size(xs)", nil)
+	if res.Stats.NodesDeleted != 2 {
+		t.Errorf("DELETE of two collected nodes: stats %+v, want 2 nodes deleted", res.Stats)
+	}
+	res = run(t, g, "MATCH (:A)-[r:R]->() WITH collect(r) AS rs DELETE rs", nil)
+	if res.Stats.RelationshipsDeleted != 1 {
+		t.Errorf("DELETE of a collected relationship: stats %+v, want 1 deleted", res.Stats)
+	}
+	res = run(t, g, "MATCH (a:A) WITH collect(a) AS xs DETACH DELETE xs", nil)
+	if res.Stats.NodesDeleted != 1 || g.NodeCount() != 1 {
+		t.Errorf("DETACH DELETE of a collected node: stats %+v, %d nodes left, want 1 deleted and 1 left", res.Stats, g.NodeCount())
 	}
 }
 

@@ -339,64 +339,59 @@ func (w *writer) execRemove(rc *RemoveClause) error {
 func (w *writer) execDelete(d *DeleteClause) error {
 	deletedNodes := map[int64]bool{}
 	deletedRels := map[int64]bool{}
+	// del deletes one value: an entity, or every entity of a list (a
+	// collected list deletes exactly as its elements bound one by one
+	// would, errors and counts included).
+	var del func(v graph.Value) error
+	del = func(v graph.Value) error {
+		switch x := v.(type) {
+		case nil:
+		case *graph.Node:
+			if deletedNodes[x.ID] {
+				return nil
+			}
+			if err := w.ctx.g.DeleteNode(x.ID, d.Detach); err != nil {
+				if errors.Is(err, graph.ErrHasRels) {
+					return evalErrorf("cannot delete node %d with relationships; use DETACH DELETE", x.ID)
+				}
+				if errors.Is(err, graph.ErrNodeNotFound) {
+					return nil
+				}
+				return err
+			}
+			deletedNodes[x.ID] = true
+			w.stats.NodesDeleted++
+		case *graph.Relationship:
+			if deletedRels[x.ID] {
+				return nil
+			}
+			if err := w.ctx.g.DeleteRelationship(x.ID); err != nil {
+				if errors.Is(err, graph.ErrRelNotFound) {
+					return nil
+				}
+				return err
+			}
+			deletedRels[x.ID] = true
+			w.stats.RelationshipsDeleted++
+		case []graph.Value:
+			for _, el := range x {
+				if err := del(el); err != nil {
+					return err
+				}
+			}
+		default:
+			return evalErrorf("cannot DELETE %T", v)
+		}
+		return nil
+	}
 	for _, row := range w.rows {
 		for _, e := range d.Exprs {
 			v, err := w.ctx.eval(e, row)
 			if err != nil {
 				return err
 			}
-			switch x := v.(type) {
-			case nil:
-				continue
-			case *graph.Node:
-				if deletedNodes[x.ID] {
-					continue
-				}
-				if err := w.ctx.g.DeleteNode(x.ID, d.Detach); err != nil {
-					if errors.Is(err, graph.ErrHasRels) {
-						return evalErrorf("cannot delete node %d with relationships; use DETACH DELETE", x.ID)
-					}
-					if errors.Is(err, graph.ErrNodeNotFound) {
-						continue
-					}
-					return err
-				}
-				deletedNodes[x.ID] = true
-				w.stats.NodesDeleted++
-			case *graph.Relationship:
-				if deletedRels[x.ID] {
-					continue
-				}
-				if err := w.ctx.g.DeleteRelationship(x.ID); err != nil {
-					if errors.Is(err, graph.ErrRelNotFound) {
-						continue
-					}
-					return err
-				}
-				deletedRels[x.ID] = true
-				w.stats.RelationshipsDeleted++
-			case []graph.Value:
-				// DELETE over a collected list of entities.
-				for _, el := range x {
-					switch ee := el.(type) {
-					case *graph.Node:
-						if !deletedNodes[ee.ID] {
-							if err := w.ctx.g.DeleteNode(ee.ID, d.Detach); err == nil {
-								deletedNodes[ee.ID] = true
-								w.stats.NodesDeleted++
-							}
-						}
-					case *graph.Relationship:
-						if !deletedRels[ee.ID] {
-							if err := w.ctx.g.DeleteRelationship(ee.ID); err == nil {
-								deletedRels[ee.ID] = true
-								w.stats.RelationshipsDeleted++
-							}
-						}
-					}
-				}
-			default:
-				return evalErrorf("cannot DELETE %T", v)
+			if err := del(v); err != nil {
+				return err
 			}
 		}
 	}

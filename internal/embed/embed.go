@@ -11,7 +11,9 @@
 package embed
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"unicode/utf8"
 
 	"chatiyp/internal/textutil"
@@ -77,10 +79,16 @@ type Config struct {
 // after Fit (or immediately, if IDF weighting is not fitted).
 type Embedder struct {
 	cfg Config
-	// idf maps feature hash buckets to inverse-document-frequency
-	// weights; nil disables IDF (all features weigh 1).
-	idf  map[uint32]float64
-	docs int
+	// df is the fitted corpus's document frequencies in ascending hash
+	// order, the table the inverse-document-frequency weights are read
+	// from; nil disables IDF (all features weigh 1). start[b] is the
+	// first pair whose hash has top bits b (see docFreq).
+	df    []DocFreq
+	start []uint32
+	shift uint
+	// weight[n] is the weight of a feature in n documents, for small n.
+	weight []float64
+	docs   int
 	// unseenIDF weighs a feature the fitted corpus never showed like a
 	// rare term: log(1 + docs).
 	unseenIDF float64
@@ -221,33 +229,68 @@ type DocFreq struct {
 	N    uint32
 }
 
-// docFreqs lists the document frequencies of m in map order.
+// docFreqs lists the document frequencies of m in ascending hash order.
 func docFreqs(m map[uint32]dfEntry) []DocFreq {
 	out := make([]DocFreq, 0, len(m))
 	for h, x := range m {
 		out = append(out, DocFreq{Hash: h, N: uint32(x.n)})
 	}
+	slices.SortFunc(out, byHash)
 	return out
 }
 
+func byHash(a, b DocFreq) int { return cmp.Compare(a.Hash, b.Hash) }
+
 // FitDocFreqs installs the IDF weights of document frequencies counted
 // over docs documents: the weights Fit computes from the corpus they
-// were counted in, bit for bit, since both end in setIDF.
+// were counted in, bit for bit, since both end in setIDF. Frequencies
+// already in ascending hash order (a tier file's are) are kept as they
+// are, not copied: the caller must not modify them afterwards.
 func (e *Embedder) FitDocFreqs(df []DocFreq, docs int) { e.setIDF(df, docs) }
 
+// weightsCached is how many document counts setIDF computes the weight
+// of up front: most features occur in few documents.
+const weightsCached = 256
+
 // setIDF installs the weights for document frequencies df over docs
-// documents.
+// documents. The pairs are searched, not copied into a table: building
+// a map of the pairs of a large corpus costs milliseconds at every
+// boot, and a tier file's pairs are already sorted. What it builds is
+// small: the bucket starts of the search and the weights of the most
+// common document counts.
 func (e *Embedder) setIDF(df []DocFreq, docs int) {
-	e.docs = docs
+	if !slices.IsSortedFunc(df, byHash) {
+		df = slices.SortedFunc(slices.Values(df), byHash)
+	}
+	if df == nil {
+		df = []DocFreq{} // fitted on a corpus without features
+	}
+	e.df, e.docs = df, docs
 	e.unseenIDF = math.Log(1 + float64(docs))
-	e.idf = make(map[uint32]float64, len(df))
+	e.weight = make([]float64, weightsCached)
+	for n := range e.weight {
+		e.weight[n] = idfOf(docs, uint32(n))
+	}
+	// About eight pairs per bucket.
+	bits := uint(0)
+	for len(df)>>(bits+3) > 0 && bits < 24 {
+		bits++
+	}
+	e.shift = 32 - bits
+	e.start = make([]uint32, 1<<bits+1)
 	for _, x := range df {
-		e.idf[x.Hash] = math.Log(1 + float64(docs)/float64(1+x.N))
+		e.start[x.Hash>>e.shift+1]++
+	}
+	for b := 1; b < len(e.start); b++ {
+		e.start[b] += e.start[b-1]
 	}
 }
 
+// idfOf is the weight of a feature in n of docs documents.
+func idfOf(docs int, n uint32) float64 { return math.Log(1 + float64(docs)/float64(1+n)) }
+
 // Fitted reports whether IDF weights are loaded.
-func (e *Embedder) Fitted() bool { return e.idf != nil }
+func (e *Embedder) Fitted() bool { return e.df != nil }
 
 // Config returns the embedder's configuration, Dim filled in.
 func (e *Embedder) Config() Config { return e.cfg }
@@ -255,10 +298,28 @@ func (e *Embedder) Config() Config { return e.cfg }
 // IDF returns the weight a fitted embedder gives feature hash h: its
 // inverse document frequency, or the unseen-feature weight.
 func (e *Embedder) IDF(h uint32) float64 {
-	if w, ok := e.idf[h]; ok {
-		return w
+	n, ok := e.docFreq(h)
+	switch {
+	case !ok:
+		return e.unseenIDF
+	case n < weightsCached:
+		return e.weight[n]
 	}
-	return e.unseenIDF
+	return idfOf(e.docs, n)
+}
+
+// docFreq finds the document frequency of feature h. Feature hashes are
+// uniform over 32 bits, so the pairs sharing h's top bits — the bucket
+// an interpolation search would probe first — are a handful, found
+// from start and scanned in place.
+func (e *Embedder) docFreq(h uint32) (uint32, bool) {
+	b := h >> e.shift
+	for _, x := range e.df[e.start[b]:e.start[b+1]] {
+		if x.Hash >= h {
+			return x.N, x.Hash == h
+		}
+	}
+	return 0, false
 }
 
 // Embed converts text to an L2-normalized vector. Empty or
@@ -273,12 +334,8 @@ func (e *Embedder) Embed(text string) Vector {
 // accumulate adds one weighted feature to v.
 func (e *Embedder) accumulate(v Vector, h uint32, kind uint8) {
 	w := kindWeight[kind]
-	if e.idf != nil {
-		if idf, ok := e.idf[h]; ok {
-			w *= idf
-		} else {
-			w *= e.unseenIDF
-		}
+	if e.df != nil {
+		w *= e.IDF(h)
 	}
 	// Signed feature hashing: a second hash decides the sign, which
 	// keeps the expectation of collisions at zero.
@@ -326,7 +383,7 @@ func (c *Corpus) Len() int { return len(c.ends) }
 // corpora, exactly as Fit would over their texts in any order: document
 // frequencies are integer counts, so summing the per-corpus counts is
 // independent of how the documents were split. It returns the summed
-// frequencies, in no particular order, for FitDocFreqs to fit again.
+// frequencies, in ascending hash order, for FitDocFreqs to fit again.
 func (e *Embedder) FitCorpora(corpora []*Corpus) []DocFreq {
 	var df map[uint32]dfEntry
 	docs := 0

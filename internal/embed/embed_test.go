@@ -1,7 +1,10 @@
 package embed
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -163,6 +166,37 @@ func TestVectorOps(t *testing.T) {
 
 func BenchmarkEmbed(b *testing.B) {
 	e := NewDefault()
+	text := "Which autonomous systems in Japan originate more than ten IPv4 prefixes?"
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Embed(text)
+	}
+}
+
+// BenchmarkEmbedFitted embeds a question with IDF weights fitted on as
+// many features as the retrieval tier of the 300k-entity world holds.
+func BenchmarkEmbedFitted(b *testing.B) {
+	e := NewDefault()
+	rng := rand.New(rand.NewSource(1))
+	df := make([]DocFreq, 0, 105_105)
+	seen := map[uint32]bool{}
+	for _, text := range []string{"Which autonomous systems in Japan originate more than ten IPv4 prefixes?"} {
+		e.features(text, func(h uint32, _ uint8) {
+			if !seen[h] {
+				seen[h] = true
+				df = append(df, DocFreq{Hash: h, N: 1 + uint32(rng.Intn(100))})
+			}
+		})
+	}
+	for len(df) < cap(df) {
+		if h := rng.Uint32(); !seen[h] {
+			seen[h] = true
+			df = append(df, DocFreq{Hash: h, N: 1 + uint32(rng.Intn(100))})
+		}
+	}
+	slices.SortFunc(df, func(a, b DocFreq) int { return cmp.Compare(a.Hash, b.Hash) })
+	e.FitDocFreqs(df, 25_726)
 	text := "Which autonomous systems in Japan originate more than ten IPv4 prefixes?"
 	b.ResetTimer()
 	b.ReportAllocs()

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"chatiyp/internal/cyphereval"
+	"chatiyp/internal/iyp"
 	"chatiyp/internal/textutil"
 )
 
@@ -168,12 +170,12 @@ func TestFitAndCorporaMatchReference(t *testing.T) {
 
 	sameIDF := func(name string, e *Embedder) {
 		t.Helper()
-		if e.docs != ref.docs || len(e.idf) != len(ref.idf) {
-			t.Fatalf("%s: %d docs, %d features; reference %d docs, %d features", name, e.docs, len(e.idf), ref.docs, len(ref.idf))
+		if e.docs != ref.docs || len(e.df) != len(ref.idf) {
+			t.Fatalf("%s: %d docs, %d features; reference %d docs, %d features", name, e.docs, len(e.df), ref.docs, len(ref.idf))
 		}
 		for h, want := range ref.idf {
-			if got, ok := e.idf[h]; !ok || math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: idf[%#x] = %v (present %v), reference %v", name, h, got, ok, want)
+			if _, ok := e.docFreq(h); !ok || math.Float64bits(e.IDF(h)) != math.Float64bits(want) {
+				t.Fatalf("%s: IDF(%#x) = %v (present %v), reference %v", name, h, e.IDF(h), ok, want)
 			}
 		}
 	}
@@ -216,4 +218,53 @@ func TestFitAndCorporaMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTierEmbeddingsMatchReference: over every document of the small
+// world's retrieval tier and every question its benchmark generates, an
+// embedder fitted by FitCorpora — and one fitted by FitDocFreqs on the
+// sorted frequencies a tier file holds, as a boot does — embeds bit for
+// bit as the reference, whose weights are a map of every pair.
+func TestTierEmbeddingsMatchReference(t *testing.T) {
+	g, w, err := iyp.Build(iyp.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs []string
+	for _, d := range iyp.Describe(g) {
+		docs = append(docs, d.Text)
+	}
+	gen := cyphereval.DefaultGenConfig()
+	gen.PerTemplate = 10
+	b, err := cyphereval.Generate(g, w, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := slices.Clone(docs)
+	for _, q := range b.Questions {
+		texts = append(texts, q.Text)
+	}
+
+	ref := &referenceEmbedder{cfg: NewDefault().cfg}
+	ref.fit(docs)
+	built := NewDefault()
+	corpora := []*Corpus{built.NewCorpus(), built.NewCorpus()}
+	for i, d := range docs {
+		corpora[i%2].Add(d)
+	}
+	freqs := built.FitCorpora(corpora)
+	if !slices.IsSortedFunc(freqs, byHash) {
+		t.Fatal("FitCorpora's frequencies are not in ascending hash order")
+	}
+	booted := NewDefault()
+	booted.FitDocFreqs(freqs, len(docs))
+	for _, text := range texts {
+		want := ref.embed(text)
+		for name, e := range map[string]*Embedder{"FitCorpora": built, "FitDocFreqs": booted} {
+			if got := e.Embed(text); !sameBits(got, want) {
+				t.Fatalf("%s: Embed(%q) differs from the reference", name, text)
+			}
+		}
+	}
+	t.Logf("%d tier documents and %d questions, %d features", len(docs), len(b.Questions), len(freqs))
 }

@@ -218,8 +218,8 @@ func BenchmarkConcurrentTraversal(b *testing.B) {
 // served graph: a cold columnar load, then per op one write — a new
 // node joined to an existing one, as cypher_rw's CREATE does — and the
 // View pin that publishes it. ns/op and B/op are the steady-state
-// write + publish cost; first-publish-ns is the one publish after the
-// hydrating first write, which shares the loaded epoch.
+// write + publish cost; first-publish-ns is the publish after the first
+// write, which clones the cold pages that write fell in.
 func BenchmarkSnapshotPublishAfterWrite(b *testing.B) {
 	n := 100_000
 	if testing.Short() {
@@ -237,7 +237,7 @@ func BenchmarkSnapshotPublishAfterWrite(b *testing.B) {
 		note := g.MustCreateNode([]string{"Note"}, map[string]any{"id": i})
 		g.MustCreateRelationship(note.ID, int64(1+i%n), "NOTED", nil)
 	}
-	write(0) // hydrates
+	write(0)
 	start := time.Now()
 	g.View()
 	first := time.Since(start)

@@ -80,13 +80,48 @@ func LoadFile(path string) (*Graph, error) {
 // already published, sharing the buffer's integer columns and string
 // bytes, so the first View pin costs nothing and startup never parses
 // per-entity records.
+//
+// With opts.VerifyChecksums the section checksums are computed on a
+// second goroutine while the sections decode — the decoder is safe on
+// any bytes — and a checksum error wins over a decode error, since it
+// says why the decode failed. Either way both are done when it
+// returns.
 func LoadColumnarBytes(data []byte, opts ColLoadOptions) (*Graph, *ColInfo, error) {
 	data = ensureAligned(data)
-	secs, err := parseColDirectory(data, opts)
+	secs, err := parseColDirectory(data)
 	if err != nil {
 		return nil, nil, err
 	}
+	var crcErr chan error
+	if opts.VerifyChecksums {
+		crcErr = make(chan error, 1)
+		go func() { crcErr <- verifySections(data, secs) }()
+	}
+	g, info, err := decodeColumnar(data, secs)
+	if crcErr != nil {
+		if cerr := <-crcErr; cerr != nil {
+			return nil, nil, cerr
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, info, nil
+}
 
+// verifySections checks every section's CRC.
+func verifySections(data []byte, secs map[uint32]colSection) error {
+	for kind, s := range secs {
+		if got := crc32.Checksum(data[s.off:s.off+s.ln], colCRC); got != s.crc {
+			return colErrf("section %d checksum mismatch (stored %#x, computed %#x)", kind, s.crc, got)
+		}
+	}
+	return nil
+}
+
+// decodeColumnar builds the graph of a snapshot whose directory
+// parseColDirectory has validated.
+func decodeColumnar(data []byte, secs map[uint32]colSection) (*Graph, *ColInfo, error) {
 	// META.
 	mb, err := sectionBytes(data, secs, secMeta)
 	if err != nil {
@@ -178,16 +213,13 @@ func LoadColumnarBytes(data []byte, opts ColLoadOptions) (*Graph, *ColInfo, erro
 	adjIDs := aliasI64(ab)
 
 	// Assemble the graph around a lazily materialized first epoch. The
-	// entity tables start as nil slots that fill in on demand (see
-	// colLazy), so startup cost is validation plus the pointer-free
-	// epoch skeleton — no per-entity map or struct construction. The
-	// mutable maps stay empty too: the first use of the locked API
-	// hydrates them (hydrateLocked).
+	// entity tables start as cold pages of nil slots that fill in on
+	// demand (see colLazy), so startup cost is validation plus the
+	// pointer-free epoch skeleton — no per-entity struct construction,
+	// now or at the first write: writes touch the epoch page by page.
 	if nodeCount64 > math.MaxInt32 || relCount64 > math.MaxInt32 {
 		return nil, nil, colErrf("entity counts exceed row-index limits")
 	}
-	g := New()
-	g.nextNode, g.nextRel = nextNode, nextRel
 	rs := &readState{
 		version:   info.Version,
 		nodeCount: n,
@@ -274,8 +306,8 @@ func LoadColumnarBytes(data []byte, opts ColLoadOptions) (*Graph, *ColInfo, erro
 		}
 	}
 
-	rs.nodes = newTable[*Node](nextNode)
-	rs.rels = newTable[*Relationship](nextRel)
+	rs.nodes = coldTable[*Node](nextNode)
+	rs.rels = coldTable[*Relationship](nextRel)
 	rs.lazy = lz
 
 	// Adjacency: the epoch aliases the flat column directly.
@@ -294,21 +326,25 @@ func LoadColumnarBytes(data []byte, opts ColLoadOptions) (*Graph, *ColInfo, erro
 	}
 
 	rs.relTypes = relTypesLocked(rs.relTypeCount)
+	g := New()
+	g.nextNode, g.nextRel = nextNode, nextRel
+	g.relTypeCount = maps.Clone(rs.relTypeCount)
 	g.version.Store(info.Version)
 	g.published.Store(rs)
 	g.snapshotPublishes.Add(1)
-	g.cold.Store(true)
 	return g, info, nil
 }
 
 // colLazy drives on-demand materialization of the entities of an epoch
 // loaded from a columnar snapshot. The epoch's entity tables start as
-// nil slots; the first reader of a slot builds the Node or Relationship
-// from the aliased columns and installs it with a CAS, so concurrent
-// readers converge on one canonical pointer and a process that only
-// reads through Views never pays construction for entities no query
-// touches. Every column reference is validated at load time, which is
-// why the materializers have no error paths.
+// cold pages of nil slots; the first reader of a slot builds the Node
+// or Relationship from the aliased columns and installs it with a CAS,
+// so concurrent readers converge on one canonical pointer and a process
+// never pays construction for entities nothing touches. Later epochs
+// share the cold pages no write fell in; a write clones a page through
+// these materializers (tableEdit.copyPage), never by a plain read, and
+// the clone is warm. Every column reference is validated at load time,
+// which is why the materializers have no error paths.
 type colLazy struct {
 	strs         *colStrings
 	vals         []Value
@@ -330,11 +366,12 @@ func (lz *colLazy) nodePresent(id int64) bool {
 	return id >= 0 && id < int64(len(lz.nodeRow)) && lz.nodeRow[id] != 0
 }
 
-// node returns the epoch's node for a valid slot index, materializing
-// it on first access. Concurrent callers may build duplicates; the CAS
-// picks one winner, so pointer identity is stable across readers.
-func (lz *colLazy) node(rs *readState, id int64) *Node {
-	slot := (*unsafe.Pointer)(unsafe.Pointer(rs.nodes.at(id)))
+// node returns the node of a cold slot (slot addresses the slot of id),
+// materializing it on first access. Concurrent callers may build
+// duplicates; the CAS picks one winner, so pointer identity is stable
+// across readers.
+func (lz *colLazy) node(at **Node, id int64) *Node {
+	slot := (*unsafe.Pointer)(unsafe.Pointer(at))
 	if p := atomic.LoadPointer(slot); p != nil {
 		return (*Node)(p)
 	}
@@ -352,8 +389,8 @@ func (lz *colLazy) node(rs *readState, id int64) *Node {
 }
 
 // rel is the relationship counterpart of node.
-func (lz *colLazy) rel(rs *readState, id int64) *Relationship {
-	slot := (*unsafe.Pointer)(unsafe.Pointer(rs.rels.at(id)))
+func (lz *colLazy) rel(at **Relationship, id int64) *Relationship {
+	slot := (*unsafe.Pointer)(unsafe.Pointer(at))
 	if p := atomic.LoadPointer(slot); p != nil {
 		return (*Relationship)(p)
 	}
@@ -421,108 +458,8 @@ func validatePropRefs(what string, tbl *colOffsets, strs *colStrings, vals []Val
 	return nil
 }
 
-// hydrateLocked materializes the mutable maps of a cold columnar graph
-// from its published lazy epoch: live entity structs (sharing the
-// Labels slices and immutable Props with the epoch copies, per the
-// copy-on-write contract in view.go), adjacency lists, label sets, and
-// property-index postings. Entities no reader has materialized yet are
-// built here, with one exact-size property slice each. Caller holds
-// g.mu exclusively; runs at most once.
-//
-// It also replaces the published epoch with the same epoch fully
-// materialized, which every later publish builds on. The entity tables
-// are the one part that gets fresh pages: a reader still on the cold
-// epoch may have loaded a nil slot before hydration filled it, and its
-// (failing) CAS into that slot can come at any later time, so no other
-// epoch may read those slots without atomics. The canonical entities,
-// the mmap-aliased adjacency, the postings and the index are shared.
-func (g *Graph) hydrateLocked() {
-	if !g.cold.Load() {
-		return
-	}
-	start := time.Now()
-	rs := g.published.Load()
-	lz := rs.lazy
-	n, m := rs.nodeCount, rs.relCount
-	warm := *rs
-	warm.lazy = nil
-	warm.nodes, warm.rels = newTable[*Node](rs.nextNode), newTable[*Relationship](rs.nextRel)
-
-	g.nodes = make(map[int64]*Node, n)
-	nodeBacking := make([]Node, n)
-	for i, id := range lz.nodeIDs {
-		node := lz.node(rs, id)
-		*warm.nodes.at(id) = node
-		nodeBacking[i] = *node
-		g.nodes[id] = &nodeBacking[i]
-	}
-	g.rels = make(map[int64]*Relationship, m)
-	relBacking := make([]Relationship, m)
-	for i, id := range lz.relIDs {
-		rel := lz.rel(rs, id)
-		*warm.rels.at(id) = rel
-		relBacking[i] = *rel
-		g.rels[id] = &relBacking[i]
-	}
-	g.published.Store(&warm)
-
-	// Mutable adjacency copies: removal mutates these in place, which
-	// must never touch the epoch's aliased column.
-	var outTotal, inTotal int
-	for _, id := range lz.nodeIDs {
-		a := rs.adj.at(id)
-		outTotal += len(a.out.all)
-		inTotal += len(a.in.all)
-	}
-	outBacking := make([]int64, 0, outTotal)
-	inBacking := make([]int64, 0, inTotal)
-	g.out = make(map[int64][]int64, n)
-	g.in = make(map[int64][]int64, n)
-	for _, id := range lz.nodeIDs {
-		a := rs.adj.at(id)
-		if ln := len(a.out.all); ln > 0 {
-			start := len(outBacking)
-			outBacking = append(outBacking, a.out.all...)
-			g.out[id] = outBacking[start : start+ln : start+ln]
-		}
-		if ln := len(a.in.all); ln > 0 {
-			start := len(inBacking)
-			inBacking = append(inBacking, a.in.all...)
-			g.in[id] = inBacking[start : start+ln : start+ln]
-		}
-	}
-
-	g.byLabel = make(map[string]map[int64]struct{}, len(rs.byLabel))
-	for label, span := range rs.byLabel {
-		set := make(map[int64]struct{}, len(span))
-		for _, id := range span {
-			set[id] = struct{}{}
-		}
-		g.byLabel[label] = set
-	}
-
-	g.indexed = make(map[string]map[string]bool)
-	g.propIndex = make(map[string]map[string]map[string][]int64)
-	for pair, byVal := range rs.propIndex {
-		if g.indexed[pair.label] == nil {
-			g.indexed[pair.label] = make(map[string]bool)
-			g.propIndex[pair.label] = make(map[string]map[string][]int64)
-		}
-		cpVal := make(map[string][]int64, len(byVal))
-		for key, ids := range byVal {
-			cpVal[key] = append([]int64(nil), ids...)
-		}
-		g.indexed[pair.label][pair.prop] = true
-		g.propIndex[pair.label][pair.prop] = cpVal
-	}
-
-	g.relTypeCount = maps.Clone(rs.relTypeCount)
-	g.hydrateNanos.Store(max(1, time.Since(start).Nanoseconds()))
-	g.cold.Store(false)
-}
-
 // parseColDirectory validates the header and section directory.
-func parseColDirectory(data []byte, opts ColLoadOptions) (map[uint32]colSection, error) {
+func parseColDirectory(data []byte) (map[uint32]colSection, error) {
 	if !SniffColumnar(data) {
 		return nil, colErrf("bad magic: not an IYPCOL1 snapshot")
 	}
@@ -572,13 +509,6 @@ func parseColDirectory(data []byte, opts ColLoadOptions) (map[uint32]colSection,
 	for _, kind := range colRequiredSections {
 		if _, ok := secs[kind]; !ok {
 			return nil, colErrf("missing required section %d", kind)
-		}
-	}
-	if opts.VerifyChecksums {
-		for kind, s := range secs {
-			if got := crc32.Checksum(data[s.off:s.off+s.ln], colCRC); got != s.crc {
-				return nil, colErrf("section %d checksum mismatch (stored %#x, computed %#x)", kind, s.crc, got)
-			}
 		}
 	}
 	return secs, nil
@@ -816,8 +746,8 @@ func parseOffsetSection(data []byte, secs map[uint32]colSection, kind uint32, n 
 
 // buildColAdjacency decodes per-node adjacency spans. Epoch lists
 // alias the flat column directly — immutable forever, pointer-free, so
-// the GC never scans them. (The mutable out/in copies are built only
-// if the graph is ever written: see hydrateLocked.)
+// the GC never scans them. A write copies the entries it touches
+// (Graph.adjForWriteLocked).
 func buildColAdjacency(rs *readState, lz *colLazy, nodeIDs []int64, adjMeta *colOffsets, adjIDs []int64, strs *colStrings) error {
 	adjCount := uint32(len(adjIDs))
 	words := adjMeta.payload
@@ -913,7 +843,7 @@ func buildColAdjacency(rs *readState, lz *colLazy, nodeIDs []int64, adjMeta *col
 }
 
 // buildColLabels decodes the label postings: the epoch gets aliased
-// sorted slices. (The mutable ID sets are built on hydration.)
+// sorted slices.
 func buildColLabels(rs *readState, lz *colLazy, data []byte, secs map[uint32]colSection, strs *colStrings) error {
 	b, err := sectionBytes(data, secs, secLabelMeta)
 	if err != nil {
@@ -970,8 +900,8 @@ func buildColLabels(rs *readState, lz *colLazy, data []byte, secs map[uint32]col
 }
 
 // buildColIndexes decodes the property-index postings: aliased sorted
-// buckets for the epoch. (The mutable copies — index maintenance
-// removes IDs in place — are built on hydration.)
+// buckets for the epoch. A write clones the buckets it touches
+// (Graph.touchBucketLocked).
 func buildColIndexes(rs *readState, lz *colLazy, data []byte, secs map[uint32]colSection, strs *colStrings) error {
 	b, err := sectionBytes(data, secs, secIndexMeta)
 	if err != nil {

@@ -36,12 +36,13 @@ func lazyTestGraph(t *testing.T) (cold, orig *Graph) {
 }
 
 // TestColumnarLazyViewReadsStayCold drives the whole View read surface
-// against a cold columnar load and asserts the mutable maps were never
-// materialized: reads must run off the lazy epoch alone.
+// against a cold columnar load and asserts it stayed the loaded epoch:
+// no page was cloned and the writer adopted no entity.
 func TestColumnarLazyViewReadsStayCold(t *testing.T) {
 	g, _ := lazyTestGraph(t)
-	if !g.cold.Load() {
-		t.Fatal("columnar load did not come up cold")
+	pages := coldPages(g)
+	if pages == 0 || liveCount(g) != 0 {
+		t.Fatalf("columnar load came up with %d cold pages and %d adopted entities", pages, liveCount(g))
 	}
 	v := g.View()
 	if got := v.NodeCount(); got != 50 {
@@ -72,27 +73,31 @@ func TestColumnarLazyViewReadsStayCold(t *testing.T) {
 	if got := g.NodeCount(); got != 50 {
 		t.Fatalf("locked NodeCount = %d, want 50", got)
 	}
-	if !g.cold.Load() {
-		t.Fatal("View reads or count probes hydrated the graph; they must not")
+	if coldPages(g) != pages || liveCount(g) != 0 || g.published.Load().lazy == nil {
+		t.Fatal("View reads or count probes cloned a page or adopted an entity; they must not")
 	}
 }
 
-// TestColumnarLazyHydrationOnWrite checks that the first locked-API use
-// hydrates the mutable maps, that writes then land correctly, and that
-// the next epoch shows them while the lazy one it shares pages with
-// does not.
-func TestColumnarLazyHydrationOnWrite(t *testing.T) {
+// TestColumnarLazyFirstWrite checks that the first write on a cold load
+// adopts only the entity it writes and that its publish clones only the
+// page it fell in, that the write lands correctly, and that the next
+// epoch shows it while the lazy one it shares pages with does not.
+func TestColumnarLazyFirstWrite(t *testing.T) {
 	g, _ := lazyTestGraph(t)
 	before := g.View()
+	pages := coldPages(g)
 	n, err := g.CreateNode([]string{"AS"}, map[string]any{"asn": int64(9999)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.cold.Load() {
-		t.Fatal("CreateNode left the graph cold")
+	if got := liveCount(g); got != 1 {
+		t.Fatalf("the first write left the writer holding %d entities, want the one it created", got)
 	}
 	if problems := g.CheckIntegrity(); len(problems) > 0 {
-		t.Fatalf("hydrated graph integrity: %v", problems)
+		t.Fatalf("integrity after the first write: %v", problems)
+	}
+	if got := coldPages(g); got != pages-1 {
+		t.Fatalf("the first publish left %d of %d cold pages, want all but the node page it wrote", got, pages)
 	}
 	after := g.View()
 	if ids, _ := after.NodesByLabelProp("AS", "asn", int64(9999)); len(ids) != 1 || ids[0] != n.ID {
@@ -135,13 +140,13 @@ func TestColumnarLazyEquivalence(t *testing.T) {
 }
 
 // TestColumnarLazyConcurrentReadersAndWriter races many lazy View
-// readers against a writer whose first mutation hydrates the graph and
-// whose publishes then share the cold epoch's pages. Every reader keeps
-// reading the cold epoch it pinned before the write — materializing
-// entities by CAS while the writer hydrates and publishes — alongside
-// freshly pinned epochs. Run under -race this covers the CAS
-// materialization path, hydration, and the first publish sharing the
-// cold epoch at once.
+// readers against a writer whose publishes share the cold epoch's
+// pages. Every reader keeps reading the cold epoch it pinned before the
+// write — materializing entities by CAS while the writer clones the
+// same pages through the CAS path and publishes — alongside freshly
+// pinned epochs. Run under -race this covers the CAS materialization
+// path, the cloning of cold pages, and publishes sharing the cold epoch
+// at once.
 func TestColumnarLazyConcurrentReadersAndWriter(t *testing.T) {
 	g, _ := lazyTestGraph(t)
 	cold := g.View()
@@ -188,7 +193,7 @@ func TestColumnarLazyConcurrentReadersAndWriter(t *testing.T) {
 	close(start)
 	wg.Wait()
 	if problems := g.CheckIntegrity(); len(problems) > 0 {
-		t.Fatalf("integrity after concurrent hydration: %v", problems)
+		t.Fatalf("integrity after concurrent writes: %v", problems)
 	}
 	if got := g.NodeCount(); got != 70 {
 		t.Fatalf("NodeCount = %d, want 70", got)
@@ -197,8 +202,9 @@ func TestColumnarLazyConcurrentReadersAndWriter(t *testing.T) {
 
 // TestCollectStatsStaysCold checks the View-backed CollectStats against
 // a count made entity by entity through the locked API of the original
-// graph, on the cold load and on the original, and that computing it
-// does not hydrate the cold load.
+// graph, on the cold load and on the original; that computing it
+// neither clones a page of the cold load nor adopts an entity; and that
+// it still counts right after the first write.
 func TestCollectStatsStaysCold(t *testing.T) {
 	cold, orig := lazyTestGraph(t)
 	want := Stats{
@@ -229,19 +235,23 @@ func TestCollectStatsStaysCold(t *testing.T) {
 			t.Errorf("%s graph: CollectStats = %+v, want %+v", name, got, want)
 		}
 	}
-	if n, _ := cold.HydrationStats(); n != 0 {
-		t.Fatal("CollectStats hydrated the cold graph")
+	pages := coldPages(cold)
+	if pages == 0 || liveCount(cold) != 0 || cold.published.Load().lazy == nil {
+		t.Fatal("CollectStats cloned a page of the cold graph or adopted an entity")
 	}
 	if _, err := cold.CreateNode([]string{"AS"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if n, ns := cold.HydrationStats(); n != 1 || ns <= 0 {
-		t.Fatalf("HydrationStats after the first write = (%d, %d), want (1, >0)", n, ns)
+	if liveCount(cold) != 1 {
+		t.Fatalf("the first write adopted %d entities, want the one it created", liveCount(cold))
 	}
 	want.Nodes++
 	want.NodesByLabel["AS"]++
 	want.AvgDegree = float64(totalDeg) / float64(want.Nodes)
 	if got := cold.CollectStats(); !reflect.DeepEqual(got, want) {
 		t.Errorf("after a write: CollectStats = %+v, want %+v", got, want)
+	}
+	if got := coldPages(cold); got != pages-1 {
+		t.Errorf("the first publish left %d of %d cold pages, want all but the node page it wrote", got, pages)
 	}
 }

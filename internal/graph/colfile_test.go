@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -351,13 +352,14 @@ func TestColumnarCorruptMatrix(t *testing.T) {
 	})
 	t.Run("payload-flips", func(t *testing.T) {
 		// Flip a byte at every position in the section payloads (past
-		// the directory): with checksums on, each must be rejected.
+		// the directory): with checksums on, each must be rejected, and
+		// for the checksum even where the decode beside it fails too.
 		dirEnd := colHeaderSize + len(colRequiredSections)*colDirEntrySize
 		step := 211
 		for off := dirEnd; off < len(valid); off += step {
 			cp := mutate(off, valid[off]^0x5A)
-			if load(cp) == nil {
-				t.Fatalf("payload flip at %d loaded", off)
+			if err := load(cp); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("payload flip at %d: error %v, want a checksum mismatch", off, err)
 			}
 		}
 	})

@@ -3,8 +3,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,24 +123,17 @@ const (
 
 // Graph is an in-memory property graph. All exported methods are safe for
 // concurrent use. The zero value is not usable; call New.
+//
+// A graph is a chain of immutable epochs (view.go) plus the writer's
+// open edit of the next one, all under mu: the entities the writer owns,
+// the IDs it dirtied, the adjacency table being derived (cloned page by
+// page and entry by entry as writes touch them) and the touched index
+// buckets. The locked API reads the published epoch through that edit;
+// a View freezes the edit into the next epoch (publishLocked). Nothing
+// else holds the world: a cold columnar load stays its mapped epoch
+// until writes touch it, one page at a time.
 type Graph struct {
-	mu    sync.RWMutex
-	nodes map[int64]*Node
-	rels  map[int64]*Relationship
-	// out and in map node ID -> incident rel IDs, kept in ascending
-	// rel-ID order: IDs are assigned monotonically and removal
-	// preserves relative order. Incident/Degree and the snapshot
-	// builder (view.go) rely on this invariant to merge and bucket
-	// without sorting; bulk loaders that bypass CreateRelationship
-	// must call normalizeAdjacencyLocked.
-	out     map[int64][]int64
-	in      map[int64][]int64
-	byLabel map[string]map[int64]struct{}
-	// propIndex maps label -> property -> valueKey -> node IDs.
-	propIndex map[string]map[string]map[string][]int64
-	indexed   map[string]map[string]bool // label -> property -> indexed?
-	nextNode  int64
-	nextRel   int64
+	mu sync.RWMutex
 	// version counts structural mutations (node/relationship writes,
 	// label/property changes, index creation). Query planners stamp
 	// their plans with it and replan when it moves. Writers bump it
@@ -148,71 +141,45 @@ type Graph struct {
 	// (View) can compare it against the published epoch without
 	// blocking.
 	version atomic.Uint64
-	// labelScans caches the sorted id list of each label, stamped with
-	// the version it was built at; label scans are the executor's
-	// hottest access path and rebuilding + sorting the list per scan
-	// dominates small queries. Entries are invalidated lazily by the
-	// version stamp, so writes stay cache-oblivious.
-	labelScans map[string]labelScanEntry
+	// published is the last published epoch; never nil.
+	published atomic.Pointer[readState]
 
-	// Lock-free read path (see view.go): the last published immutable
-	// epoch, the dirty sets accumulated since it was built, and the
-	// snapshot observability counters. Label postings need no dirty set
-	// of their own: only dirty nodes can have changed labels.
-	published  atomic.Pointer[readState]
-	dirtyNodes map[int64]struct{} // created/deleted/relabeled/reproped nodes
-	dirtyRels  map[int64]struct{} // created/deleted/reproped rels
-	dirtyAdj   map[int64]struct{} // nodes whose adjacency changed
-	// dirtyIndex holds the touched value keys of each index pair; a
-	// pair the published epoch lacks is a new index, built whole.
-	dirtyIndex        map[indexPair]map[string]struct{}
-	relTypeCount      map[string]int // live rels per type; keeps RelationshipTypes and epoch builds O(#types)
-	relTypesDirty     bool
-	viewPins          atomic.Int64
-	snapshotPublishes atomic.Int64
-	publishNanos      atomic.Int64
+	// live holds the writer's own copy of every node the locked API has
+	// handed out or written, and nil for one deleted since the last
+	// publish; liveRels does the same for relationships. A copy is
+	// adopted on first touch and written in place from then on, so a
+	// write query's bound entities see its later writes however many
+	// epochs are published meanwhile. Any other node is as the
+	// published epoch has it.
+	live     map[int64]*Node
+	liveRels map[int64]*Relationship
+	// dirtyNodes and dirtyRels hold the IDs below the published epoch's
+	// allocators that changed since it; every ID allocated since is
+	// dirty too.
+	dirtyNodes map[int64]struct{}
+	dirtyRels  map[int64]struct{}
+	// adj is the next epoch's adjacency table, open from the first
+	// adjacency change after a publish until the next; ownAdj holds the
+	// entries below the published table's length that it has copied,
+	// the only ones it may write.
+	adj    *tableEdit[nodeAdj]
+	ownAdj map[int64]struct{}
+	// pendingIndex holds the touched buckets of each index with their
+	// current IDs, unsorted; a pair the published epoch lacks is a new
+	// index, held whole.
+	pendingIndex  map[indexPair]map[string][]int64
+	nextNode      int64
+	nextRel       int64
+	relTypeCount  map[string]int // live rels per type; keeps publishes O(#types)
+	relTypesDirty bool
 
 	// obs, when set, receives every applied Mutation while g.mu is
 	// still held — the write-ahead-log hook (see mutation.go).
 	obs func(Mutation)
 
-	// cold marks a graph freshly loaded from a columnar snapshot whose
-	// mutable maps have not been materialized: reads run off the
-	// published lazy epoch (colfile_decode.go) and the first use of the
-	// locked API hydrates the maps (ensureMutable / hydrateLocked).
-	cold atomic.Bool
-	// hydrateNanos is how long the one hydration a cold load can have
-	// took; 0 until it has happened.
-	hydrateNanos atomic.Int64
-}
-
-// ensureMutable materializes the mutable maps of a cold columnar graph
-// before the locked API touches them. The fast path — any graph that
-// is not a cold columnar load, or one already hydrated — is a single
-// atomic load. Callers must not hold g.mu.
-func (g *Graph) ensureMutable() {
-	if g.cold.Load() {
-		g.mu.Lock()
-		g.hydrateLocked()
-		g.mu.Unlock()
-	}
-}
-
-// HydrationStats reports how often (0 or 1) and for how long the
-// mutable maps of a cold columnar load were materialized. Only
-// mutators, CheckIntegrity, the JSONL export and the locked read API
-// hydrate; Views, planning and CollectStats never do. A graph that was
-// not loaded from a columnar snapshot reports zeros.
-func (g *Graph) HydrationStats() (hydrations, nanos int64) {
-	if ns := g.hydrateNanos.Load(); ns > 0 {
-		return 1, ns
-	}
-	return 0, 0
-}
-
-type labelScanEntry struct {
-	version uint64
-	ids     []int64
+	viewPins          atomic.Int64
+	snapshotPublishes atomic.Int64
+	publishNanos      atomic.Int64
 }
 
 // Version returns the mutation counter: it increases on every write —
@@ -225,23 +192,19 @@ func (g *Graph) Version() uint64 {
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		nodes:        make(map[int64]*Node),
-		rels:         make(map[int64]*Relationship),
-		out:          make(map[int64][]int64),
-		in:           make(map[int64][]int64),
-		byLabel:      make(map[string]map[int64]struct{}),
-		propIndex:    make(map[string]map[string]map[string][]int64),
-		indexed:      make(map[string]map[string]bool),
-		labelScans:   make(map[string]labelScanEntry),
-		relTypeCount: make(map[string]int),
+	g := &Graph{
+		live:         make(map[int64]*Node),
+		liveRels:     make(map[int64]*Relationship),
 		dirtyNodes:   make(map[int64]struct{}),
 		dirtyRels:    make(map[int64]struct{}),
-		dirtyAdj:     make(map[int64]struct{}),
-		dirtyIndex:   make(map[indexPair]map[string]struct{}),
+		ownAdj:       make(map[int64]struct{}),
+		pendingIndex: make(map[indexPair]map[string][]int64),
+		relTypeCount: make(map[string]int),
 		nextNode:     1,
 		nextRel:      1,
 	}
+	g.published.Store(emptyEpoch())
+	return g
 }
 
 // CreateNode adds a node with the given labels and properties and returns
@@ -253,25 +216,25 @@ func (g *Graph) CreateNode(labels []string, props map[string]any) (*Node, error)
 		return nil, err
 	}
 	ls := sortedLabels(labels)
-	g.ensureMutable()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.version.Add(1)
 	n := &Node{ID: g.nextNode, Labels: ls, Props: norm}
-	g.nextNode++
-	g.nodes[n.ID] = n
-	for _, l := range ls {
-		set := g.byLabel[l]
-		if set == nil {
-			set = make(map[int64]struct{})
-			g.byLabel[l] = set
-		}
-		set[n.ID] = struct{}{}
-	}
-	g.indexNodeLocked(n)
-	g.noteNodeLocked(n.ID)
+	g.putNodeLocked(n)
 	g.notifyLocked(Mutation{Kind: MutCreateNode, NodeID: n.ID, Labels: ls, Props: norm})
 	return n, nil
+}
+
+// putNodeLocked installs n under its ID, replacing (and unindexing) a
+// node that holds it. Caller holds g.mu and notifies the observer.
+func (g *Graph) putNodeLocked(n *Node) {
+	g.version.Add(1)
+	if old := g.nodeLocked(n.ID); old != nil {
+		g.unindexNodeLocked(old)
+	}
+	g.live[n.ID] = n
+	g.nextNode = max(g.nextNode, n.ID+1)
+	g.indexNodeLocked(n)
+	g.noteNodeLocked(n.ID)
 }
 
 // MustCreateNode is CreateNode that panics on error, for generators whose
@@ -290,25 +253,34 @@ func (g *Graph) CreateRelationship(startID, endID int64, relType string, props m
 	if err != nil {
 		return nil, err
 	}
-	g.ensureMutable()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.nodes[startID]; !ok {
+	if !g.hasNodeLocked(startID) {
 		return nil, fmt.Errorf("%w: start %d", ErrNodeNotFound, startID)
 	}
-	if _, ok := g.nodes[endID]; !ok {
+	if !g.hasNodeLocked(endID) {
 		return nil, fmt.Errorf("%w: end %d", ErrNodeNotFound, endID)
 	}
-	g.version.Add(1)
 	r := &Relationship{ID: g.nextRel, Type: relType, StartID: startID, EndID: endID, Props: norm}
-	g.nextRel++
-	g.rels[r.ID] = r
-	g.out[startID] = append(g.out[startID], r.ID)
-	g.in[endID] = append(g.in[endID], r.ID)
-	g.noteRelLocked(r)
-	g.addRelTypeLocked(relType)
+	g.putRelLocked(r)
 	g.notifyLocked(Mutation{Kind: MutCreateRel, RelID: r.ID, StartID: startID, EndID: endID, RelType: relType, Props: norm})
 	return r, nil
+}
+
+// putRelLocked installs r under its ID, replacing a relationship that
+// holds it. Caller holds g.mu, has checked both endpoints and notifies
+// the observer.
+func (g *Graph) putRelLocked(r *Relationship) {
+	g.version.Add(1)
+	if old := g.relLocked(r.ID); old != nil {
+		g.removeRelLocked(old)
+	}
+	g.liveRels[r.ID] = r
+	g.nextRel = max(g.nextRel, r.ID+1)
+	g.adjForWriteLocked(r.StartID).out.add(r.ID, r.Type)
+	g.adjForWriteLocked(r.EndID).in.add(r.ID, r.Type)
+	g.noteRelLocked(r.ID)
+	g.addRelTypeLocked(r.Type)
 }
 
 // MustCreateRelationship is CreateRelationship that panics on error.
@@ -341,82 +313,172 @@ func normalizeProps(props map[string]any) (Props, error) {
 	return PropsOf(norm), nil
 }
 
+// ---------------------------------------------------------------------
+// The open edit's entities and adjacency. Callers hold g.mu; the ones
+// that adopt or write hold it exclusively.
+// ---------------------------------------------------------------------
+
+// nodeLocked returns node id as it stands, or nil: the writer's copy
+// when it has one, else the published epoch's (materialized on touch
+// when cold). Read-only.
+func (g *Graph) nodeLocked(id int64) *Node {
+	if n, ok := g.live[id]; ok {
+		return n
+	}
+	return g.published.Load().node(id)
+}
+
+// relLocked is the relationship counterpart of nodeLocked.
+func (g *Graph) relLocked(id int64) *Relationship {
+	if r, ok := g.liveRels[id]; ok {
+		return r
+	}
+	return g.published.Load().rel(id)
+}
+
+// hasNodeLocked reports whether node id exists, materializing nothing.
+func (g *Graph) hasNodeLocked(id int64) bool {
+	if n, ok := g.live[id]; ok {
+		return n != nil
+	}
+	return g.published.Load().hasNode(id)
+}
+
+// hasRelLocked is the relationship counterpart of hasNodeLocked.
+func (g *Graph) hasRelLocked(id int64) bool {
+	if r, ok := g.liveRels[id]; ok {
+		return r != nil
+	}
+	return g.published.Load().hasRel(id)
+}
+
+// adoptNodeLocked returns the writer's own copy of node id, or nil: the
+// pointer the locked API hands out and the mutators write in place.
+func (g *Graph) adoptNodeLocked(id int64) *Node {
+	n, ok := g.live[id]
+	if !ok {
+		if n = g.published.Load().node(id); n != nil {
+			n = copyNode(n)
+			g.live[id] = n
+		}
+	}
+	return n
+}
+
+// adoptRelLocked is the relationship counterpart of adoptNodeLocked.
+func (g *Graph) adoptRelLocked(id int64) *Relationship {
+	r, ok := g.liveRels[id]
+	if !ok {
+		if r = g.published.Load().rel(id); r != nil {
+			r = copyRel(r)
+			g.liveRels[id] = r
+		}
+	}
+	return r
+}
+
+// adjLocked returns node id's adjacency as it stands — the open edit's
+// entry, else the published one — or nil when out of range. Read-only.
+func (g *Graph) adjLocked(id int64) *nodeAdj {
+	if g.adj != nil {
+		if id < 0 || id >= g.adj.len() {
+			return nil
+		}
+		return g.adj.at(id)
+	}
+	return g.published.Load().adjOf(id)
+}
+
+// adjEditLocked returns the open adjacency edit, sized to nextNode,
+// opening it from the published table first if need be.
+func (g *Graph) adjEditLocked() *tableEdit[nodeAdj] {
+	if g.adj == nil {
+		g.adj = g.published.Load().adj.edit(g.nextNode, nil)
+	} else {
+		g.adj.resize(g.nextNode)
+	}
+	return g.adj
+}
+
+// adjForWriteLocked returns node id's entry in the open adjacency edit,
+// writable: its page is cloned, and the entry itself copied deep, the
+// first time this edit touches them. The pointer is good until the next
+// call (a resize may move the page).
+func (g *Graph) adjForWriteLocked(id int64) *nodeAdj {
+	e := g.adj
+	if e == nil || id >= e.len() {
+		e = g.adjEditLocked()
+	}
+	a := e.mut(id)
+	if id < g.published.Load().adj.len() {
+		if _, ok := g.ownAdj[id]; !ok {
+			*a = nodeAdj{out: a.out.clone(), in: a.in.clone()}
+			g.ownAdj[id] = struct{}{}
+		}
+	}
+	return a
+}
+
+// noteNodeLocked and noteRelLocked mark an ID dirty. IDs allocated
+// since the last publish are dirty anyway, so a bulk load pays no
+// bookkeeping.
+func (g *Graph) noteNodeLocked(id int64) {
+	if id < g.published.Load().nextNode {
+		g.dirtyNodes[id] = struct{}{}
+	}
+}
+
+func (g *Graph) noteRelLocked(id int64) {
+	if id < g.published.Load().nextRel {
+		g.dirtyRels[id] = struct{}{}
+	}
+}
+
+// ---------------------------------------------------------------------
+// Locked reads: always current, so write queries see their own writes.
+// ---------------------------------------------------------------------
+
 // Node returns the node with the given ID, or nil when absent.
 func (g *Graph) Node(id int64) *Node {
-	g.ensureMutable()
 	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.nodes[id]
+	n, ok := g.live[id]
+	g.mu.RUnlock()
+	if ok {
+		return n
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.adoptNodeLocked(id)
 }
 
 // Relationship returns the relationship with the given ID, or nil.
 func (g *Graph) Relationship(id int64) *Relationship {
-	g.ensureMutable()
 	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.rels[id]
+	r, ok := g.liveRels[id]
+	g.mu.RUnlock()
+	if ok {
+		return r
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.adoptRelLocked(id)
 }
 
-// NodeCount returns the number of nodes. On a cold columnar graph the
-// count comes from the published epoch (cold means no writes have
-// happened, so the epoch is current) — deliberately not a hydration
-// point, so startup probes stay cheap.
-func (g *Graph) NodeCount() int {
-	if g.cold.Load() {
-		if rs := g.published.Load(); rs != nil {
-			return rs.nodeCount
-		}
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.nodes)
-}
+// NodeCount returns the number of nodes.
+func (g *Graph) NodeCount() int { return g.View().NodeCount() }
 
-// RelationshipCount returns the number of relationships (epoch-served
-// while cold, like NodeCount).
-func (g *Graph) RelationshipCount() int {
-	if g.cold.Load() {
-		if rs := g.published.Load(); rs != nil {
-			return rs.relCount
-		}
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.rels)
-}
+// RelationshipCount returns the number of relationships.
+func (g *Graph) RelationshipCount() int { return g.View().RelationshipCount() }
 
 // Labels returns all node labels present in the graph, sorted.
-func (g *Graph) Labels() []string {
-	g.ensureMutable()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]string, 0, len(g.byLabel))
-	for l, set := range g.byLabel {
-		if len(set) > 0 {
-			out = append(out, l)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (g *Graph) Labels() []string { return slices.Clone(g.View().Labels()) }
 
 // RelationshipTypes returns all relationship types present, sorted.
-func (g *Graph) RelationshipTypes() []string {
-	g.ensureMutable()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return relTypesLocked(g.relTypeCount)
-}
+func (g *Graph) RelationshipTypes() []string { return slices.Clone(g.View().RelationshipTypes()) }
 
-// relTypesLocked renders the live per-type refcounts as a sorted type
-// list. Caller holds g.mu (any mode).
+// relTypesLocked renders per-type refcounts as a sorted type list.
 func relTypesLocked(counts map[string]int) []string {
-	out := make([]string, 0, len(counts))
-	for t := range counts {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(counts))
 }
 
 // addRelTypeLocked and dropRelTypeLocked maintain the per-type
@@ -442,109 +504,49 @@ func (g *Graph) dropRelTypeLocked(typ string) {
 // ascending ID order (deterministic iteration matters for reproducible
 // query results).
 func (g *Graph) NodesByLabel(label string) []int64 {
-	g.ensureMutable()
 	g.mu.RLock()
-	if e, ok := g.labelScans[label]; ok && e.version == g.version.Load() {
-		out := append([]int64(nil), e.ids...)
-		g.mu.RUnlock()
-		return out
-	}
-	g.mu.RUnlock()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if e, ok := g.labelScans[label]; ok && e.version == g.version.Load() {
-		return append([]int64(nil), e.ids...)
-	}
-	set := g.byLabel[label]
-	ids := make([]int64, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sortIDs(ids)
-	g.labelScans[label] = labelScanEntry{version: g.version.Load(), ids: ids}
-	return append([]int64(nil), ids...)
+	defer g.mu.RUnlock()
+	return g.nodesByLabelLocked(label)
+}
+
+func (g *Graph) nodesByLabelLocked(label string) []int64 {
+	prev := g.published.Load()
+	_, byLabel := g.nodeDeltasLocked(prev, nil)
+	return byLabel[label].current(prev.byLabel[label])
 }
 
 // AllNodeIDs returns every node ID in ascending order.
 func (g *Graph) AllNodeIDs() []int64 {
-	g.ensureMutable()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make([]int64, 0, len(g.nodes))
-	for id := range g.nodes {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
+	prev := g.published.Load()
+	all, _ := g.nodeDeltasLocked(prev, nil)
+	return all.current(prev.allNodes)
 }
 
 // AllRelationshipIDs returns every relationship ID in ascending order.
 func (g *Graph) AllRelationshipIDs() []int64 {
-	g.ensureMutable()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]int64, 0, len(g.rels))
-	for id := range g.rels {
-		out = append(out, id)
-	}
-	sortIDs(out)
+	var out []int64
+	g.ForEachRelationship(func(r *Relationship) bool { out = append(out, r.ID); return true })
 	return out
 }
 
-func sortIDs(ids []int64) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
 // Incident returns the relationships incident to the node in the given
-// direction, optionally filtered to a set of types (empty means all).
-// Results are in ascending relationship-ID order. The adjacency lists
-// are maintained in that order already, so this is a filter (single
-// direction) or a two-way merge (Both, deduplicating self-loops) with
-// no sorting and no scratch maps.
+// direction, optionally filtered to a set of types (empty means all),
+// in ascending relationship-ID order.
 func (g *Graph) Incident(nodeID int64, dir Direction, types ...string) []*Relationship {
-	g.ensureMutable()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var outIDs, inIDs []int64
-	switch dir {
-	case Outgoing:
-		outIDs = g.out[nodeID]
-	case Incoming:
-		inIDs = g.in[nodeID]
-	case Both:
-		outIDs, inIDs = g.out[nodeID], g.in[nodeID]
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	a := g.adjLocked(nodeID)
+	if a == nil {
+		return nil
 	}
-	res := make([]*Relationship, 0, len(outIDs)+len(inIDs))
-	i, j := 0, 0
-	for i < len(outIDs) || j < len(inIDs) {
-		var id int64
-		switch {
-		case j >= len(inIDs):
-			id = outIDs[i]
-			i++
-		case i >= len(outIDs):
-			id = inIDs[j]
-			j++
-		case outIDs[i] < inIDs[j]:
-			id = outIDs[i]
-			i++
-		case inIDs[j] < outIDs[i]:
-			id = inIDs[j]
-			j++
-		default: // self-loop: same rel in both lists, emit once
-			id = outIDs[i]
-			i++
-			j++
-		}
-		r := g.rels[id]
-		if r == nil {
-			continue
-		}
-		if len(types) > 0 && !slices.Contains(types, r.Type) {
-			continue
-		}
-		res = append(res, r)
-	}
+	var listsArr [8][]int64
+	var res []*Relationship
+	mergeIDs(a.lists(listsArr[:0], dir, types), func(id int64) bool {
+		res = append(res, g.adoptRelLocked(id))
+		return true
+	})
 	return res
 }
 
@@ -563,35 +565,27 @@ func (g *Graph) IncidentDo(nodeID int64, dir Direction, types []string, fn func(
 
 // Degree returns the number of incident relationships in the given
 // direction, optionally filtered by type — a direct count, with no
-// slice materialization, dedup maps, or sorting.
+// relationship resolved.
 func (g *Graph) Degree(nodeID int64, dir Direction, types ...string) int {
-	g.ensureMutable()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	count := 0
-	if dir != Incoming {
-		for _, id := range g.out[nodeID] {
-			r := g.rels[id]
-			if r == nil || (len(types) > 0 && !slices.Contains(types, r.Type)) {
-				continue
-			}
-			count++
-		}
+	if a := g.adjLocked(nodeID); a != nil {
+		return a.degree(dir, types)
 	}
-	if dir != Outgoing {
-		for _, id := range g.in[nodeID] {
-			r := g.rels[id]
-			if r == nil || (len(types) > 0 && !slices.Contains(types, r.Type)) {
-				continue
-			}
-			if dir == Both && r.StartID == nodeID {
-				continue // self-loop, already counted on the out side
-			}
-			count++
-		}
-	}
-	return count
+	return 0
 }
+
+// ForEachNode calls fn for every node of the current epoch in ascending
+// ID order. The callback must not mutate the graph.
+func (g *Graph) ForEachNode(fn func(*Node) bool) { g.View().ForEachNode(fn) }
+
+// ForEachRelationship calls fn for every relationship of the current
+// epoch in ascending ID order. The callback must not mutate the graph.
+func (g *Graph) ForEachRelationship(fn func(*Relationship) bool) { g.View().ForEachRelationship(fn) }
+
+// ---------------------------------------------------------------------
+// Mutators. Each bumps the version once and journals one Mutation.
+// ---------------------------------------------------------------------
 
 // SetNodeProp sets (or, with a nil value, removes) a node property and
 // keeps any property index on it consistent.
@@ -600,10 +594,9 @@ func (g *Graph) SetNodeProp(nodeID int64, key string, value any) error {
 	if err != nil {
 		return err
 	}
-	g.ensureMutable()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := g.nodes[nodeID]
+	n := g.adoptNodeLocked(nodeID)
 	if n == nil {
 		return fmt.Errorf("%w: %d", ErrNodeNotFound, nodeID)
 	}
@@ -612,8 +605,8 @@ func (g *Graph) SetNodeProp(nodeID int64, key string, value any) error {
 	return nil
 }
 
-// setNodePropLocked applies a normalized property write. Caller holds
-// g.mu and notifies the observer itself.
+// setNodePropLocked applies a normalized property write to the
+// writer's node. Caller holds g.mu and notifies the observer itself.
 func (g *Graph) setNodePropLocked(n *Node, key string, nv Value) {
 	g.version.Add(1)
 	old, had := n.Props.Get(key)
@@ -621,16 +614,17 @@ func (g *Graph) setNodePropLocked(n *Node, key string, nv Value) {
 	// write installs a new set.
 	n.Props = n.Props.With(key, nv)
 	// Only indexes on this key can move: other buckets stay untouched,
-	// so the next publish re-sorts nothing else.
+	// so the next publish sorts nothing else.
 	for _, label := range n.Labels {
-		if !g.indexed[label][key] {
+		pair := indexPair{label, key}
+		if !g.indexedLocked(pair) {
 			continue
 		}
 		if had {
-			g.removeFromIndexLocked(label, key, old, n.ID)
+			g.indexRemoveLocked(pair, old, n.ID)
 		}
 		if nv != nil {
-			g.addToIndexLocked(label, key, nv, n.ID)
+			g.indexAddLocked(pair, nv, n.ID)
 		}
 	}
 	g.noteNodeLocked(n.ID)
@@ -642,10 +636,9 @@ func (g *Graph) SetRelProp(relID int64, key string, value any) error {
 	if err != nil {
 		return err
 	}
-	g.ensureMutable()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	r := g.rels[relID]
+	r := g.adoptRelLocked(relID)
 	if r == nil {
 		return fmt.Errorf("%w: %d", ErrRelNotFound, relID)
 	}
@@ -654,26 +647,21 @@ func (g *Graph) SetRelProp(relID int64, key string, value any) error {
 	return nil
 }
 
-// setRelPropLocked applies a normalized relationship property write.
-// Caller holds g.mu and notifies the observer itself.
+// setRelPropLocked applies a normalized property write to the writer's
+// relationship. Adjacency holds IDs, so neither endpoint's entry
+// changes. Caller holds g.mu and notifies the observer itself.
 func (g *Graph) setRelPropLocked(r *Relationship, key string, nv Value) {
 	g.version.Add(1)
 	r.Props = r.Props.With(key, nv) // immutable, see setNodePropLocked
-	// Only the relationship copy is stale: adjacency buckets hold rel
-	// IDs resolved through the epoch's relationship table, so a
-	// prop-only change needs no adjacency rebuild on either endpoint.
-	if g.tracking() {
-		g.dirtyRels[r.ID] = struct{}{}
-	}
+	g.noteRelLocked(r.ID)
 }
 
 // AddNodeLabel adds a label to a node (no-op when already present),
 // keeping the label and property indexes consistent.
 func (g *Graph) AddNodeLabel(nodeID int64, label string) error {
-	g.ensureMutable()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := g.nodes[nodeID]
+	n := g.adoptNodeLocked(nodeID)
 	if n == nil {
 		return fmt.Errorf("%w: %d", ErrNodeNotFound, nodeID)
 	}
@@ -683,26 +671,21 @@ func (g *Graph) AddNodeLabel(nodeID int64, label string) error {
 	return nil
 }
 
-// addNodeLabelLocked adds a label, reporting whether anything changed.
-// Caller holds g.mu and notifies the observer itself.
+// addNodeLabelLocked adds a label to the writer's node, reporting
+// whether anything changed. Caller holds g.mu and notifies the
+// observer itself.
 func (g *Graph) addNodeLabelLocked(n *Node, label string) bool {
 	if n.HasLabel(label) {
 		return false
 	}
 	g.version.Add(1)
-	// Fresh slice, not append-in-place: a published epoch may share the
-	// old backing array with lock-free readers.
+	// A fresh slice, not an append in place: a published epoch may
+	// share the old backing array with lock-free readers.
 	labels := make([]string, 0, len(n.Labels)+1)
 	labels = append(labels, n.Labels...)
 	labels = append(labels, label)
-	sort.Strings(labels)
+	slices.Sort(labels)
 	n.Labels = labels
-	set := g.byLabel[label]
-	if set == nil {
-		set = make(map[int64]struct{})
-		g.byLabel[label] = set
-	}
-	set[n.ID] = struct{}{}
 	g.indexLabelLocked(n, label)
 	g.noteNodeLocked(n.ID)
 	return true
@@ -710,10 +693,9 @@ func (g *Graph) addNodeLabelLocked(n *Node, label string) bool {
 
 // RemoveNodeLabel removes a label from a node (no-op when absent).
 func (g *Graph) RemoveNodeLabel(nodeID int64, label string) error {
-	g.ensureMutable()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := g.nodes[nodeID]
+	n := g.adoptNodeLocked(nodeID)
 	if n == nil {
 		return fmt.Errorf("%w: %d", ErrNodeNotFound, nodeID)
 	}
@@ -723,60 +705,53 @@ func (g *Graph) RemoveNodeLabel(nodeID int64, label string) error {
 	return nil
 }
 
-// removeNodeLabelLocked removes a label, reporting whether anything
-// changed. Caller holds g.mu and notifies the observer itself.
+// removeNodeLabelLocked removes a label from the writer's node,
+// reporting whether anything changed. Caller holds g.mu and notifies
+// the observer itself.
 func (g *Graph) removeNodeLabelLocked(n *Node, label string) bool {
 	if !n.HasLabel(label) {
 		return false
 	}
 	g.version.Add(1)
 	g.unindexLabelLocked(n, label)
-	// Filter into a fresh slice (not n.Labels[:0]) for the same
-	// epoch-sharing reason as AddNodeLabel.
-	out := make([]string, 0, len(n.Labels))
-	for _, l := range n.Labels {
-		if l != label {
-			out = append(out, l)
-		}
-	}
-	n.Labels = out
-	delete(g.byLabel[label], n.ID)
+	// A fresh slice (not n.Labels[:0]) for the same epoch-sharing reason
+	// as addNodeLabelLocked.
+	n.Labels = slices.DeleteFunc(slices.Clone(n.Labels), func(l string) bool { return l == label })
 	g.noteNodeLocked(n.ID)
 	return true
 }
 
 // DeleteRelationship removes a relationship.
 func (g *Graph) DeleteRelationship(relID int64) error {
-	g.ensureMutable()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	r := g.rels[relID]
+	r := g.relLocked(relID)
 	if r == nil {
 		return fmt.Errorf("%w: %d", ErrRelNotFound, relID)
 	}
-	g.deleteRelLocked(r)
+	g.version.Add(1)
+	g.removeRelLocked(r)
 	g.notifyLocked(Mutation{Kind: MutDeleteRel, RelID: relID})
 	return nil
 }
 
-// deleteRelLocked removes a relationship. Caller holds g.mu and
-// notifies the observer itself.
-func (g *Graph) deleteRelLocked(r *Relationship) {
-	g.version.Add(1)
-	g.out[r.StartID] = removeID(g.out[r.StartID], r.ID)
-	g.in[r.EndID] = removeID(g.in[r.EndID], r.ID)
-	delete(g.rels, r.ID)
-	g.noteRelLocked(r)
+// removeRelLocked withdraws a relationship from both endpoints'
+// adjacency and leaves its tombstone. It does not bump the version:
+// its callers are one journaled mutation each. Caller holds g.mu.
+func (g *Graph) removeRelLocked(r *Relationship) {
+	g.adjForWriteLocked(r.StartID).out.remove(r.ID, r.Type)
+	g.adjForWriteLocked(r.EndID).in.remove(r.ID, r.Type)
+	g.liveRels[r.ID] = nil
+	g.noteRelLocked(r.ID)
 	g.dropRelTypeLocked(r.Type)
 }
 
 // DeleteNode removes a node. It fails with ErrHasRels when relationships
 // are still attached unless detach is true (DETACH DELETE semantics).
 func (g *Graph) DeleteNode(nodeID int64, detach bool) error {
-	g.ensureMutable()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := g.nodes[nodeID]
+	n := g.nodeLocked(nodeID)
 	if n == nil {
 		return fmt.Errorf("%w: %d", ErrNodeNotFound, nodeID)
 	}
@@ -792,77 +767,21 @@ func (g *Graph) DeleteNode(nodeID int64, detach bool) error {
 // since replaying the delete against the same state cascades
 // identically). Caller holds g.mu and notifies the observer itself.
 func (g *Graph) deleteNodeLocked(n *Node, detach bool) error {
-	nodeID := n.ID
-	if len(g.out[nodeID]) > 0 || len(g.in[nodeID]) > 0 {
+	if a := g.adjLocked(n.ID); a != nil && len(a.out.all)+len(a.in.all) > 0 {
 		if !detach {
-			return fmt.Errorf("%w: %d", ErrHasRels, nodeID)
+			return fmt.Errorf("%w: %d", ErrHasRels, n.ID)
 		}
-		for _, id := range append(append([]int64(nil), g.out[nodeID]...), g.in[nodeID]...) {
-			if r := g.rels[id]; r != nil {
-				g.out[r.StartID] = removeID(g.out[r.StartID], id)
-				g.in[r.EndID] = removeID(g.in[r.EndID], id)
-				delete(g.rels, id)
-				g.noteRelLocked(r)
-				g.dropRelTypeLocked(r.Type)
+		for _, id := range slices.Concat(a.out.all, a.in.all) { // a copy: the removals edit the lists
+			if r := g.relLocked(id); r != nil {
+				g.removeRelLocked(r)
 			}
 		}
 	}
 	g.version.Add(1)
 	g.unindexNodeLocked(n)
-	for _, l := range n.Labels {
-		delete(g.byLabel[l], nodeID)
-	}
-	delete(g.out, nodeID)
-	delete(g.in, nodeID)
-	delete(g.nodes, nodeID)
-	g.noteNodeLocked(nodeID)
+	g.live[n.ID] = nil
+	g.noteNodeLocked(n.ID)
 	return nil
-}
-
-// withdrawRelLocked removes a loaded relationship's side effects —
-// adjacency entries and type refcount — so a later duplicate record
-// can replace it cleanly. Caller holds g.mu; bulk loaders only.
-func (g *Graph) withdrawRelLocked(r *Relationship) {
-	g.out[r.StartID] = removeID(g.out[r.StartID], r.ID)
-	g.in[r.EndID] = removeID(g.in[r.EndID], r.ID)
-	g.dropRelTypeLocked(r.Type)
-}
-
-// withdrawNodeLocked removes a loaded node's label-set and
-// property-index entries so a later duplicate record can replace it
-// cleanly. Caller holds g.mu; bulk loaders only.
-func (g *Graph) withdrawNodeLocked(n *Node) {
-	g.unindexNodeLocked(n)
-	for _, l := range n.Labels {
-		delete(g.byLabel[l], n.ID)
-	}
-}
-
-// normalizeAdjacencyLocked restores the ascending-ID invariant on the
-// adjacency lists. CreateRelationship maintains it for free (IDs are
-// monotonic), but bulk loaders that insert relationships directly in
-// file order must call this before the graph escapes. Caller holds
-// g.mu (or exclusively owns the graph).
-func (g *Graph) normalizeAdjacencyLocked() {
-	for _, ids := range g.out {
-		if !sortedIDs(ids) {
-			sortIDs(ids)
-		}
-	}
-	for _, ids := range g.in {
-		if !sortedIDs(ids) {
-			sortIDs(ids)
-		}
-	}
-}
-
-func sortedIDs(ids []int64) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i] < ids[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 func removeID(ids []int64, id int64) []int64 {
@@ -872,36 +791,4 @@ func removeID(ids []int64, id int64) []int64 {
 		}
 	}
 	return ids
-}
-
-// ForEachNode calls fn for every node in ascending ID order. The callback
-// must not mutate the graph.
-func (g *Graph) ForEachNode(fn func(*Node) bool) {
-	for _, id := range g.AllNodeIDs() {
-		g.mu.RLock()
-		n := g.nodes[id]
-		g.mu.RUnlock()
-		if n == nil {
-			continue
-		}
-		if !fn(n) {
-			return
-		}
-	}
-}
-
-// ForEachRelationship calls fn for every relationship in ascending ID
-// order. The callback must not mutate the graph.
-func (g *Graph) ForEachRelationship(fn func(*Relationship) bool) {
-	for _, id := range g.AllRelationshipIDs() {
-		g.mu.RLock()
-		r := g.rels[id]
-		g.mu.RUnlock()
-		if r == nil {
-			continue
-		}
-		if !fn(r) {
-			return
-		}
-	}
 }

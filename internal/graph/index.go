@@ -1,13 +1,15 @@
 package graph
 
-import "sort"
+import (
+	"iter"
+	"slices"
+)
 
 // CreateIndex declares a property index on (label, property). All current
 // and future nodes carrying the label are indexed by that property's
 // value, making anchored pattern scans — MATCH (:AS {asn: 2497}) — O(1)
 // instead of a full label scan. Creating an existing index is a no-op.
 func (g *Graph) CreateIndex(label, property string) {
-	g.ensureMutable()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.createIndexLocked(label, property) {
@@ -19,66 +21,61 @@ func (g *Graph) CreateIndex(label, property string) {
 // it was newly created. Caller holds g.mu and notifies the observer
 // itself.
 func (g *Graph) createIndexLocked(label, property string) bool {
-	props := g.indexed[label]
-	if props == nil {
-		props = make(map[string]bool)
-		g.indexed[label] = props
-	}
-	if props[property] {
+	pair := indexPair{label, property}
+	if g.indexedLocked(pair) {
 		return false
 	}
-	props[property] = true
 	g.version.Add(1)
-	// A pair the published epoch lacks is built whole by the next
-	// publish. Marked even before the first publish, which builds every
-	// dirty pair.
-	if pair := (indexPair{label, property}); g.dirtyIndex[pair] == nil {
-		g.dirtyIndex[pair] = make(map[string]struct{})
-	}
-	// Backfill existing nodes.
-	for id := range g.byLabel[label] {
-		n := g.nodes[id]
-		if v, ok := n.Props.Get(property); ok {
-			g.addToIndexLocked(label, property, v, id)
+	// A pair the published epoch lacks is held whole until the next
+	// publish hands it over.
+	byVal := make(map[string][]int64)
+	g.pendingIndex[pair] = byVal
+	for _, id := range g.nodesByLabelLocked(label) {
+		if v, ok := g.nodeLocked(id).Props.Get(property); ok {
+			key := ValueKey(v)
+			byVal[key] = append(byVal[key], id)
 		}
 	}
 	return true
 }
 
+// indexedLocked reports whether an index exists on pair. Caller holds
+// g.mu.
+func (g *Graph) indexedLocked(pair indexPair) bool {
+	if _, ok := g.published.Load().propIndex[pair]; ok {
+		return true
+	}
+	return g.pendingIndex[pair] != nil
+}
+
+// indexPairsLocked lists every index: the published epoch's and the
+// ones created since. Caller holds g.mu.
+func (g *Graph) indexPairsLocked() iter.Seq[indexPair] {
+	return func(yield func(indexPair) bool) {
+		published := g.published.Load().propIndex
+		for pair := range published {
+			if !yield(pair) {
+				return
+			}
+		}
+		for pair := range g.pendingIndex {
+			if _, ok := published[pair]; !ok && !yield(pair) {
+				return
+			}
+		}
+	}
+}
+
 // HasIndex reports whether a property index exists on (label, property).
 func (g *Graph) HasIndex(label, property string) bool {
-	g.ensureMutable()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.indexed[label][property]
+	return g.indexedLocked(indexPair{label, property})
 }
 
 // Indexes returns every (label, property) pair with an index, sorted by
 // label then property.
-func (g *Graph) Indexes() [][2]string {
-	g.ensureMutable()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out [][2]string
-	for label, props := range g.indexed {
-		for p, on := range props {
-			if on {
-				out = append(out, [2]string{label, p})
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-func sortPairs(ps [][2]string) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
-	})
-}
+func (g *Graph) Indexes() [][2]string { return g.View().Indexes() }
 
 // NodesByLabelProp returns the IDs of nodes with the given label whose
 // property equals value, in ascending ID order. It uses the property
@@ -90,25 +87,28 @@ func (g *Graph) NodesByLabelProp(label, property string, value any) ([]int64, bo
 	if err != nil {
 		return nil, false
 	}
-	g.ensureMutable()
 	g.mu.RLock()
-	if g.indexed[label][property] {
-		ids := g.propIndex[label][property][ValueKey(nv)]
-		out := append([]int64(nil), ids...)
-		g.mu.RUnlock()
-		sortIDs(out)
+	defer g.mu.RUnlock()
+	if ids, ok := g.bucketLocked(indexPair{label, property}, ValueKey(nv)); ok {
+		out := slices.Clone(ids)
+		slices.Sort(out)
 		return out, true
 	}
-	g.mu.RUnlock()
-	// Fallback: label scan.
-	var out []int64
-	for _, id := range g.NodesByLabel(label) {
-		n := g.Node(id)
-		if v, ok := n.Props.Get(property); ok && ValuesEqual(v, nv) {
-			out = append(out, id)
-		}
+	return scanLabelProp(g.nodesByLabelLocked(label), g.nodeLocked, property, nv), false
+}
+
+// bucketLocked returns the IDs an index holds under one value key as
+// they stand — the open edit's touched bucket, else the published one —
+// unsorted and read-only; ok is false when no index exists on pair.
+// Caller holds g.mu.
+func (g *Graph) bucketLocked(pair indexPair, key string) (ids []int64, ok bool) {
+	if ids, ok := g.pendingIndex[pair][key]; ok {
+		return ids, true
 	}
-	return out, false
+	if byVal, ok := g.published.Load().propIndex[pair]; ok {
+		return byVal[key], true
+	}
+	return nil, g.pendingIndex[pair] != nil
 }
 
 // indexNodeLocked inserts the node into every applicable property index.
@@ -122,12 +122,12 @@ func (g *Graph) indexNodeLocked(n *Node) {
 // indexLabelLocked inserts the node into the property indexes of one of
 // its labels. Caller holds g.mu.
 func (g *Graph) indexLabelLocked(n *Node, label string) {
-	for p, on := range g.indexed[label] {
-		if !on {
+	for pair := range g.indexPairsLocked() {
+		if pair.label != label {
 			continue
 		}
-		if v, ok := n.Props.Get(p); ok {
-			g.addToIndexLocked(label, p, v, n.ID)
+		if v, ok := n.Props.Get(pair.prop); ok {
+			g.indexAddLocked(pair, v, n.ID)
 		}
 	}
 }
@@ -143,35 +143,39 @@ func (g *Graph) unindexNodeLocked(n *Node) {
 // unindexLabelLocked removes the node from the property indexes of one
 // of its labels. Caller holds g.mu.
 func (g *Graph) unindexLabelLocked(n *Node, label string) {
-	for p, on := range g.indexed[label] {
-		if !on {
+	for pair := range g.indexPairsLocked() {
+		if pair.label != label {
 			continue
 		}
-		if v, ok := n.Props.Get(p); ok {
-			g.removeFromIndexLocked(label, p, v, n.ID)
+		if v, ok := n.Props.Get(pair.prop); ok {
+			g.indexRemoveLocked(pair, v, n.ID)
 		}
 	}
 }
 
-func (g *Graph) removeFromIndexLocked(label, property string, v Value, id int64) {
-	key := ValueKey(v)
-	byVal := g.propIndex[label][property]
-	byVal[key] = removeID(byVal[key], id)
-	g.noteIndexLocked(indexPair{label, property}, key)
-}
-
-func (g *Graph) addToIndexLocked(label, property string, v Value, id int64) {
-	byProp := g.propIndex[label]
-	if byProp == nil {
-		byProp = make(map[string]map[string][]int64)
-		g.propIndex[label] = byProp
-	}
-	byVal := byProp[property]
+// touchBucketLocked returns the open edit's copy of one index bucket,
+// cloning the published one the first time the edit touches it.
+func (g *Graph) touchBucketLocked(pair indexPair, key string) (map[string][]int64, []int64) {
+	byVal := g.pendingIndex[pair]
 	if byVal == nil {
 		byVal = make(map[string][]int64)
-		byProp[property] = byVal
+		g.pendingIndex[pair] = byVal
 	}
+	ids, ok := byVal[key]
+	if !ok {
+		ids = slices.Clone(g.published.Load().propIndex[pair][key])
+	}
+	return byVal, ids
+}
+
+func (g *Graph) indexAddLocked(pair indexPair, v Value, id int64) {
 	key := ValueKey(v)
-	byVal[key] = append(byVal[key], id)
-	g.noteIndexLocked(indexPair{label, property}, key)
+	byVal, ids := g.touchBucketLocked(pair, key)
+	byVal[key] = append(ids, id)
+}
+
+func (g *Graph) indexRemoveLocked(pair indexPair, v Value, id int64) {
+	key := ValueKey(v)
+	byVal, ids := g.touchBucketLocked(pair, key)
+	byVal[key] = removeID(ids, id)
 }

@@ -25,33 +25,38 @@ type jsonRecord struct {
 	Property string         `json:"property,omitempty"`
 }
 
-// WriteJSONLines exports the graph as JSON lines: every index
+// WriteJSONLines exports the current epoch as JSON lines (see
+// View.WriteJSONLines).
+func (g *Graph) WriteJSONLines(w io.Writer) error { return g.View().WriteJSONLines(w) }
+
+// WriteJSONLines exports the pinned epoch as JSON lines: every index
 // declaration, then every node, then every relationship, all in
 // deterministic ID order.
-func (g *Graph) WriteJSONLines(w io.Writer) error {
+func (v *View) WriteJSONLines(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, ix := range g.Indexes() {
+	for _, ix := range v.Indexes() {
 		if err := enc.Encode(jsonRecord{Kind: "index", Label: ix[0], Property: ix[1]}); err != nil {
 			return err
 		}
 	}
-	for _, id := range g.AllNodeIDs() {
-		n := g.Node(id)
-		if err := enc.Encode(jsonRecord{
-			Kind: "node", ID: n.ID, Labels: n.Labels, Props: propsToJSON(n.Props),
-		}); err != nil {
-			return err
-		}
+	var err error
+	v.ForEachNode(func(n *Node) bool {
+		err = enc.Encode(jsonRecord{Kind: "node", ID: n.ID, Labels: n.Labels, Props: propsToJSON(n.Props)})
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
-	for _, id := range g.AllRelationshipIDs() {
-		r := g.Relationship(id)
-		if err := enc.Encode(jsonRecord{
+	v.ForEachRelationship(func(r *Relationship) bool {
+		err = enc.Encode(jsonRecord{
 			Kind: "rel", ID: r.ID, Type: r.Type, Start: r.StartID, End: r.EndID,
 			Props: propsToJSON(r.Props),
-		}); err != nil {
-			return err
-		}
+		})
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -65,13 +70,13 @@ func propsToJSON(props Props) map[string]any {
 }
 
 // ReadJSONLines imports a graph previously exported with
-// WriteJSONLines. Node and relationship IDs are preserved.
+// WriteJSONLines. Node and relationship IDs are preserved; a repeated
+// ID's last record wins.
 func ReadJSONLines(r io.Reader) (*Graph, error) {
 	g := New()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<22)
 	line := 0
-	var maxNode, maxRel int64
 	for sc.Scan() {
 		line++
 		raw := sc.Bytes()
@@ -88,36 +93,20 @@ func ReadJSONLines(r io.Reader) (*Graph, error) {
 		case "node":
 			if rec.ID < 1 {
 				// Epoch tables (view.go) are ID-indexed, so IDs must be
-				// positive; the map-based live graph would tolerate
-				// them, but the first View() pin would not.
+				// positive.
 				return nil, fmt.Errorf("graph: json line %d: invalid node id %d", line, rec.ID)
 			}
 			props, err := jsonToProps(rec.Props)
 			if err != nil {
 				return nil, fmt.Errorf("graph: json line %d: %w", line, err)
 			}
-			n := &Node{ID: rec.ID, Labels: rec.Labels, Props: props}
-			if n.Labels == nil {
-				n.Labels = []string{}
+			labels := rec.Labels
+			if labels == nil {
+				labels = []string{}
 			}
 			g.mu.Lock()
-			if prev := g.nodes[n.ID]; prev != nil {
-				g.withdrawNodeLocked(prev) // duplicate node ID: last record wins
-			}
-			g.nodes[n.ID] = n
-			for _, l := range n.Labels {
-				set := g.byLabel[l]
-				if set == nil {
-					set = make(map[int64]struct{})
-					g.byLabel[l] = set
-				}
-				set[n.ID] = struct{}{}
-			}
-			g.indexNodeLocked(n)
+			g.putNodeLocked(&Node{ID: rec.ID, Labels: labels, Props: props})
 			g.mu.Unlock()
-			if rec.ID > maxNode {
-				maxNode = rec.ID
-			}
 		case "rel":
 			if rec.ID < 1 {
 				return nil, fmt.Errorf("graph: json line %d: invalid rel id %d", line, rec.ID)
@@ -127,30 +116,14 @@ func ReadJSONLines(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: json line %d: %w", line, err)
 			}
 			g.mu.Lock()
-			if _, ok := g.nodes[rec.Start]; !ok {
-				g.mu.Unlock()
-				return nil, fmt.Errorf("graph: json line %d: rel %d references missing node %d", line, rec.ID, rec.Start)
+			for _, end := range []int64{rec.Start, rec.End} {
+				if !g.hasNodeLocked(end) {
+					g.mu.Unlock()
+					return nil, fmt.Errorf("graph: json line %d: rel %d references missing node %d", line, rec.ID, end)
+				}
 			}
-			if _, ok := g.nodes[rec.End]; !ok {
-				g.mu.Unlock()
-				return nil, fmt.Errorf("graph: json line %d: rel %d references missing node %d", line, rec.ID, rec.End)
-			}
-			rel := &Relationship{ID: rec.ID, Type: rec.Type, StartID: rec.Start, EndID: rec.End, Props: props}
-			if prev := g.rels[rel.ID]; prev != nil {
-				// Duplicate rel ID: last record wins, with the earlier
-				// record's adjacency entries and type count withdrawn —
-				// the dedup the old Incident seen-map used to provide at
-				// query time now happens at load time.
-				g.withdrawRelLocked(prev)
-			}
-			g.rels[rel.ID] = rel
-			g.out[rel.StartID] = append(g.out[rel.StartID], rel.ID)
-			g.in[rel.EndID] = append(g.in[rel.EndID], rel.ID)
-			g.relTypeCount[rel.Type]++
+			g.putRelLocked(&Relationship{ID: rec.ID, Type: rec.Type, StartID: rec.Start, EndID: rec.End, Props: props})
 			g.mu.Unlock()
-			if rec.ID > maxRel {
-				maxRel = rec.ID
-			}
 		default:
 			return nil, fmt.Errorf("graph: json line %d: unknown record kind %q", line, rec.Kind)
 		}
@@ -158,14 +131,6 @@ func ReadJSONLines(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	g.mu.Lock()
-	g.nextNode = maxNode + 1
-	g.nextRel = maxRel + 1
-	// Relationship records may arrive in any ID order; restore the
-	// ascending-ID adjacency invariant Incident and the snapshot
-	// builder rely on.
-	g.normalizeAdjacencyLocked()
-	g.mu.Unlock()
 	return g, nil
 }
 

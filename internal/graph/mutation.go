@@ -11,7 +11,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // MutKind enumerates the write operations a Graph can journal.
@@ -102,13 +102,13 @@ func (g *Graph) notifyLocked(m Mutation) {
 }
 
 // ApplyMutation re-applies a journaled mutation, preserving the
-// original entity IDs — the WAL replay path. The mutation's values
+// original entity IDs — the WAL replay path, through the same open edit
+// as every other write. The mutation's values
 // must already be normalized (decoded journal records are). The
 // mutation is journaled to the write observer like any other write, so
 // applying one on a live store re-journals it; replay attaches the
 // observer only after the log has been consumed.
 func (g *Graph) ApplyMutation(m Mutation) error {
-	g.ensureMutable()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	switch m.Kind {
@@ -116,63 +116,38 @@ func (g *Graph) ApplyMutation(m Mutation) error {
 		if m.NodeID < 1 {
 			return fmt.Errorf("graph: apply %s: invalid node id %d", m.Kind, m.NodeID)
 		}
-		if _, ok := g.nodes[m.NodeID]; ok {
+		if g.hasNodeLocked(m.NodeID) {
 			return fmt.Errorf("graph: apply %s: node %d already exists", m.Kind, m.NodeID)
 		}
-		ls := sortedLabels(m.Labels)
-		g.version.Add(1)
-		n := &Node{ID: m.NodeID, Labels: ls, Props: m.Props}
-		g.nodes[n.ID] = n
-		if n.ID >= g.nextNode {
-			g.nextNode = n.ID + 1
-		}
-		for _, l := range ls {
-			set := g.byLabel[l]
-			if set == nil {
-				set = make(map[int64]struct{})
-				g.byLabel[l] = set
-			}
-			set[n.ID] = struct{}{}
-		}
-		g.indexNodeLocked(n)
-		g.noteNodeLocked(n.ID)
+		g.putNodeLocked(&Node{ID: m.NodeID, Labels: sortedLabels(m.Labels), Props: m.Props})
 	case MutCreateRel:
 		if m.RelID < 1 {
 			return fmt.Errorf("graph: apply %s: invalid relationship id %d", m.Kind, m.RelID)
 		}
-		if _, ok := g.rels[m.RelID]; ok {
+		if g.hasRelLocked(m.RelID) {
 			return fmt.Errorf("graph: apply %s: relationship %d already exists", m.Kind, m.RelID)
 		}
-		if _, ok := g.nodes[m.StartID]; !ok {
+		if !g.hasNodeLocked(m.StartID) {
 			return fmt.Errorf("graph: apply %s: %w: start %d", m.Kind, ErrNodeNotFound, m.StartID)
 		}
-		if _, ok := g.nodes[m.EndID]; !ok {
+		if !g.hasNodeLocked(m.EndID) {
 			return fmt.Errorf("graph: apply %s: %w: end %d", m.Kind, ErrNodeNotFound, m.EndID)
 		}
-		g.version.Add(1)
-		r := &Relationship{ID: m.RelID, Type: m.RelType, StartID: m.StartID, EndID: m.EndID, Props: m.Props}
-		g.rels[r.ID] = r
-		if r.ID >= g.nextRel {
-			g.nextRel = r.ID + 1
-		}
-		g.out[r.StartID] = insertAscending(g.out[r.StartID], r.ID)
-		g.in[r.EndID] = insertAscending(g.in[r.EndID], r.ID)
-		g.noteRelLocked(r)
-		g.addRelTypeLocked(r.Type)
+		g.putRelLocked(&Relationship{ID: m.RelID, Type: m.RelType, StartID: m.StartID, EndID: m.EndID, Props: m.Props})
 	case MutSetNodeProp:
-		n := g.nodes[m.NodeID]
+		n := g.adoptNodeLocked(m.NodeID)
 		if n == nil {
 			return fmt.Errorf("graph: apply %s: %w: %d", m.Kind, ErrNodeNotFound, m.NodeID)
 		}
 		g.setNodePropLocked(n, m.Key, m.Value)
 	case MutSetRelProp:
-		r := g.rels[m.RelID]
+		r := g.adoptRelLocked(m.RelID)
 		if r == nil {
 			return fmt.Errorf("graph: apply %s: %w: %d", m.Kind, ErrRelNotFound, m.RelID)
 		}
 		g.setRelPropLocked(r, m.Key, m.Value)
 	case MutAddLabel:
-		n := g.nodes[m.NodeID]
+		n := g.adoptNodeLocked(m.NodeID)
 		if n == nil {
 			return fmt.Errorf("graph: apply %s: %w: %d", m.Kind, ErrNodeNotFound, m.NodeID)
 		}
@@ -180,7 +155,7 @@ func (g *Graph) ApplyMutation(m Mutation) error {
 			return nil // no-op: no version bump, so nothing to journal
 		}
 	case MutRemoveLabel:
-		n := g.nodes[m.NodeID]
+		n := g.adoptNodeLocked(m.NodeID)
 		if n == nil {
 			return fmt.Errorf("graph: apply %s: %w: %d", m.Kind, ErrNodeNotFound, m.NodeID)
 		}
@@ -188,7 +163,7 @@ func (g *Graph) ApplyMutation(m Mutation) error {
 			return nil
 		}
 	case MutDeleteNode:
-		n := g.nodes[m.NodeID]
+		n := g.nodeLocked(m.NodeID)
 		if n == nil {
 			return fmt.Errorf("graph: apply %s: %w: %d", m.Kind, ErrNodeNotFound, m.NodeID)
 		}
@@ -196,11 +171,12 @@ func (g *Graph) ApplyMutation(m Mutation) error {
 			return fmt.Errorf("graph: apply %s: %w", m.Kind, err)
 		}
 	case MutDeleteRel:
-		r := g.rels[m.RelID]
+		r := g.relLocked(m.RelID)
 		if r == nil {
 			return fmt.Errorf("graph: apply %s: %w: %d", m.Kind, ErrRelNotFound, m.RelID)
 		}
-		g.deleteRelLocked(r)
+		g.version.Add(1)
+		g.removeRelLocked(r)
 	case MutCreateIndex:
 		if !g.createIndexLocked(m.Label, m.Prop) {
 			return nil
@@ -219,9 +195,6 @@ func insertAscending(ids []int64, id int64) []int64 {
 	if n := len(ids); n == 0 || ids[n-1] < id {
 		return append(ids, id)
 	}
-	at := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	ids = append(ids, 0)
-	copy(ids[at+1:], ids[at:])
-	ids[at] = id
-	return ids
+	at, _ := slices.BinarySearch(ids, id)
+	return slices.Insert(ids, at, id)
 }

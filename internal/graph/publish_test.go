@@ -290,7 +290,7 @@ func assertViewUnchanged(t *testing.T, what string, v *View, want viewState) {
 // entity pointers after appends to a label, a deletion (the merge
 // path), index writes, and relationship and label writes; the
 // snapshot buffer of a cold load keeps its CRC through writes and
-// publishes; and the first publish after hydration keeps every
+// publishes; and the first publish after a cold load keeps every
 // untouched entity's pointer.
 func TestSnapshotPublishKeepsOldEpochs(t *testing.T) {
 	for _, cold := range []bool{false, true} {
@@ -312,8 +312,8 @@ func TestSnapshotPublishKeepsOldEpochs(t *testing.T) {
 			pinned := g.View()
 			before := captureView(pinned)
 
-			// The first write hydrates a cold load; its publish must share
-			// every untouched entity with the loaded epoch.
+			// The first write's publish must share every untouched
+			// entity with the loaded epoch.
 			touched := pinned.NodesByLabel("N")[3]
 			if err := g.SetNodeProp(touched, "u", "x"); err != nil {
 				t.Fatal(err)

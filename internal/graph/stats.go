@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -22,8 +23,7 @@ type Stats struct {
 
 // CollectStats returns the Stats of the current epoch (see
 // View.CollectStats). It pins one View and touches nothing else, so on
-// a cold columnar load it neither hydrates the mutable maps nor
-// materializes an entity.
+// a cold columnar load it materializes no entity.
 func (g *Graph) CollectStats() Stats {
 	return g.View().CollectStats()
 }
@@ -87,82 +87,79 @@ func sortedStringKeys(m map[string]int) []string {
 	return out
 }
 
-// CheckIntegrity validates internal invariants: every relationship
-// endpoint exists, adjacency lists are consistent with the relationship
-// table, and label sets match node labels. It returns a list of
-// violations (empty means healthy). Primarily used by tests and the
-// dataset builder's self-check.
+// CheckIntegrity publishes the current epoch and validates it: every
+// relationship's endpoints exist and list it, every adjacency entry
+// lists live relationships of its node in ascending order with buckets
+// that partition the list by type, label postings match node labels,
+// and the counts agree. It returns a list of violations (empty means
+// healthy). Primarily used by tests and the dataset builder's
+// self-check.
 func (g *Graph) CheckIntegrity() []string {
-	g.ensureMutable()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	rs := g.View().rs
 	var problems []string
-	for id, r := range g.rels {
-		if _, ok := g.nodes[r.StartID]; !ok {
-			problems = append(problems, fmt.Sprintf("rel %d: missing start node %d", id, r.StartID))
-		}
-		if _, ok := g.nodes[r.EndID]; !ok {
-			problems = append(problems, fmt.Sprintf("rel %d: missing end node %d", id, r.EndID))
-		}
-		if !containsID(g.out[r.StartID], id) {
-			problems = append(problems, fmt.Sprintf("rel %d: not in out-adjacency of %d", id, r.StartID))
-		}
-		if !containsID(g.in[r.EndID], id) {
-			problems = append(problems, fmt.Sprintf("rel %d: not in in-adjacency of %d", id, r.EndID))
-		}
-	}
-	for nodeID, relIDs := range g.out {
-		for _, rid := range relIDs {
-			r, ok := g.rels[rid]
-			if !ok {
-				problems = append(problems, fmt.Sprintf("node %d: dangling out rel %d", nodeID, rid))
-			} else if r.StartID != nodeID {
-				problems = append(problems, fmt.Sprintf("node %d: out rel %d starts elsewhere", nodeID, rid))
+	bad := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
+	counts := map[string]int{}
+	for id := int64(0); id < rs.rels.len(); id++ {
+		if r := rs.relAt(id); r != nil {
+			counts[r.Type]++
+			if !lists(rs, r.StartID, Outgoing, id) || !lists(rs, r.EndID, Incoming, id) {
+				bad("rel %d: an endpoint of %d->%d is missing or does not list it", id, r.StartID, r.EndID)
 			}
 		}
 	}
-	for nodeID, relIDs := range g.in {
-		for _, rid := range relIDs {
-			r, ok := g.rels[rid]
-			if !ok {
-				problems = append(problems, fmt.Sprintf("node %d: dangling in rel %d", nodeID, rid))
-			} else if r.EndID != nodeID {
-				problems = append(problems, fmt.Sprintf("node %d: in rel %d ends elsewhere", nodeID, rid))
+	if !maps.Equal(counts, rs.relTypeCount) {
+		bad("rels by type %v, counts say %v", counts, rs.relTypeCount)
+	}
+	labelled := map[string]int{}
+	for _, id := range rs.allNodes {
+		n := rs.nodeAt(id)
+		for i, l := range n.Labels {
+			if !slices.Contains(n.Labels[:i], l) {
+				labelled[l]++
+			}
+		}
+		for _, d := range []*dirAdj{&rs.adjOf(id).out, &rs.adjOf(id).in} {
+			sum := 0
+			for _, b := range d.byType {
+				sum += len(b.ids)
+				for _, rid := range b.ids {
+					if r := rs.rel(rid); r == nil || r.Type != b.typ || (r.StartID != id && r.EndID != id) {
+						bad("node %d: bucket %q lists rel %d, which is not one of its %q rels", id, b.typ, rid, b.typ)
+					}
+				}
+			}
+			if sum != len(d.all) || !slices.IsSorted(d.all) {
+				bad("node %d: adjacency list of %d rels, unsorted or not the %d of its buckets", id, len(d.all), sum)
 			}
 		}
 	}
-	for label, set := range g.byLabel {
-		for id := range set {
-			n, ok := g.nodes[id]
-			if !ok {
-				problems = append(problems, fmt.Sprintf("label %s: dangling node %d", label, id))
-			} else if !n.HasLabel(label) {
-				problems = append(problems, fmt.Sprintf("label %s: node %d lacks label", label, id))
+	if len(rs.allNodes) != rs.nodeCount || !slices.IsSorted(rs.allNodes) {
+		bad("node list of %d, count %d", len(rs.allNodes), rs.nodeCount)
+	}
+	for label, ids := range rs.byLabel {
+		if len(ids) != labelled[label] || !slices.IsSorted(ids) {
+			bad("label %s: posting of %d, %d nodes carry it", label, len(ids), labelled[label])
+		}
+		for _, id := range ids {
+			if n := rs.node(id); n == nil || !n.HasLabel(label) {
+				bad("label %s: node %d missing or lacks the label", label, id)
 			}
-		}
-	}
-	counts := make(map[string]int, len(g.relTypeCount))
-	for _, r := range g.rels {
-		counts[r.Type]++
-	}
-	for t, want := range counts {
-		if g.relTypeCount[t] != want {
-			problems = append(problems, fmt.Sprintf("rel type %s: refcount %d, want %d", t, g.relTypeCount[t], want))
-		}
-	}
-	for t := range g.relTypeCount {
-		if counts[t] == 0 {
-			problems = append(problems, fmt.Sprintf("rel type %s: stale refcount %d for absent type", t, g.relTypeCount[t]))
 		}
 	}
 	return problems
 }
 
-func containsID(ids []int64, id int64) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
+// lists reports whether node id exists and its adjacency in direction
+// dir lists relationship rid.
+func lists(rs *readState, id int64, dir Direction, rid int64) bool {
+	a := rs.adjOf(id)
+	if a == nil || rs.node(id) == nil {
+		return false
 	}
-	return false
+	d := &a.out
+	if dir == Incoming {
+		d = &a.in
+	}
+	_, ok := slices.BinarySearch(d.all, rid)
+	return ok
 }

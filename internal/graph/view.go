@@ -12,27 +12,27 @@ package graph
 // adjacency is stored pre-grouped by relationship type and pre-sorted
 // by relationship ID.
 //
-// Epochs are copy-on-write. Writers keep mutating the authoritative
-// locked maps (so write-query semantics — reads seeing the query's own
-// writes — are untouched) and record what they dirtied; the first View
-// pinned after a write builds the next epoch under the mutex and
-// publishes it atomically. The build costs O(dirty), not O(graph): the
-// paged entity and adjacency tables (table.go) share every page no
-// dirty ID falls in, label postings and the node list change by merging
-// the dirty nodes' membership changes, and only touched index buckets
-// are re-sorted. There is one build path for every predecessor: the
-// first publish of a fresh graph builds against an empty epoch with
-// everything dirty, and the first publish after a cold columnar load
-// shares the loaded epoch, which hydration republishes fully
-// materialized (see hydrateLocked). Readers
-// holding older epochs are unaffected: epoch entities are copies, never
-// aliased with the mutable state. Consecutive writes with no
-// interleaved read cost nothing beyond dirty bookkeeping — publication
-// is lazy and amortizes over write bursts.
+// The epochs are the graph's only representation. The writer holds the
+// next one open (graph.go): a write clones the table page, and the
+// adjacency entry or index bucket, the first time it touches it, and
+// records the node and relationship IDs it dirtied; the locked API reads
+// that open edit, so write queries see their own writes. The first View
+// pinned after a write freezes the edit under the mutex and publishes it
+// atomically. Freezing costs O(dirty), not O(graph): the paged tables
+// (table.go) share every page no write fell in, label postings and the
+// node list change by merging the dirty nodes' membership changes, and
+// only touched index buckets are sorted. A fresh graph starts from an
+// empty epoch and a cold columnar load from the loaded one; both are
+// predecessors like any other. Readers holding older epochs are
+// unaffected: an epoch's entities are copies the writer never writes
+// again. Consecutive writes with no interleaved read cost nothing beyond
+// the edit itself — publication is lazy and amortizes over write bursts.
 
 import (
+	"cmp"
 	"maps"
 	"slices"
+	"strings"
 	"time"
 )
 
@@ -108,10 +108,100 @@ func (d *dirAdj) bucket(typ string) []int64 {
 	return nil
 }
 
+// add files rel id of type typ, keeping the full list and its bucket
+// ascending and the buckets in canonical order. Only an edit's own
+// entry is written (see Graph.adjForWriteLocked).
+func (d *dirAdj) add(id int64, typ string) {
+	d.all = insertAscending(d.all, id)
+	for i := range d.byType {
+		if b := &d.byType[i]; b.typ == typ {
+			b.ids = insertAscending(b.ids, id)
+			if b.ids[0] == id {
+				d.sortBuckets()
+			}
+			return
+		}
+	}
+	d.byType = append(d.byType, typeBucket{typ: typ, ids: []int64{id}})
+	d.sortBuckets()
+}
+
+// remove withdraws rel id of type typ, dropping its bucket when empty.
+func (d *dirAdj) remove(id int64, typ string) {
+	d.all = removeID(d.all, id)
+	for i := range d.byType {
+		if b := &d.byType[i]; b.typ == typ {
+			first := b.ids[0] == id
+			if b.ids = removeID(b.ids, id); len(b.ids) == 0 {
+				d.byType = slices.Delete(d.byType, i, i+1)
+			} else if first {
+				d.sortBuckets()
+			}
+			return
+		}
+	}
+}
+
+// sortBuckets puts the buckets in canonical order — by first ID, the
+// order in which a walk of the full list meets their types — so that an
+// entry edited in place equals one built from scratch, and encodes to
+// the same bytes.
+func (d *dirAdj) sortBuckets() {
+	slices.SortFunc(d.byType, func(a, b typeBucket) int { return cmp.Compare(a.ids[0], b.ids[0]) })
+}
+
+// clone is a deep copy: an edit writes only the lists it owns.
+func (d dirAdj) clone() dirAdj {
+	c := dirAdj{all: slices.Clone(d.all), byType: slices.Clone(d.byType)}
+	for i := range c.byType {
+		c.byType[i].ids = slices.Clone(c.byType[i].ids)
+	}
+	return c
+}
+
 // nodeAdj is the per-node adjacency of one epoch.
 type nodeAdj struct {
 	out dirAdj
 	in  dirAdj
+}
+
+// lists appends the sorted rel-ID lists a (direction, types) selection
+// draws from.
+func (a *nodeAdj) lists(dst [][]int64, dir Direction, types []string) [][]int64 {
+	if dir == Outgoing || dir == Both {
+		dst = gatherLists(dst, &a.out, types)
+	}
+	if dir == Incoming || dir == Both {
+		dst = gatherLists(dst, &a.in, types)
+	}
+	return dst
+}
+
+// degree counts the relationships of a (direction, types) selection
+// without resolving one. Single-direction degrees are O(#types) bucket
+// length sums; Both merges the ID lists to count self-loops once.
+func (a *nodeAdj) degree(dir Direction, types []string) int {
+	if dir == Both {
+		var listsArr [8][]int64
+		n := 0
+		mergeIDs(a.lists(listsArr[:0], Both, types), func(int64) bool { n++; return true })
+		return n
+	}
+	d := &a.out
+	if dir == Incoming {
+		d = &a.in
+	}
+	if len(types) == 0 {
+		return len(d.all)
+	}
+	n := 0
+	for i, t := range types {
+		if slices.Contains(types[:i], t) {
+			continue // duplicate type in the filter counts once
+		}
+		n += len(d.bucket(t))
+	}
+	return n
 }
 
 // readState is one immutable epoch of the graph. Everything in it is
@@ -137,37 +227,95 @@ type readState struct {
 	// never walk the relationship table. Never nil.
 	relTypeCount map[string]int
 	// nextNode and nextRel freeze the ID allocators at publication so a
-	// snapshot serialized from a pinned View (snapshot.go, colfile.go)
-	// restores allocator state without touching the live graph. They
-	// are also the lengths of the node and relationship tables.
+	// snapshot serialized from a pinned View (colfile.go) restores
+	// allocator state without touching the live graph. They are also
+	// the lengths of the node, relationship and adjacency tables.
 	nextNode int64
 	nextRel  int64
-	// lazy, when non-nil, marks a cold columnar epoch: entity slots in
-	// nodes and rels start nil and materialize on first access (see
-	// colfile_decode.go). All slot accesses on such an epoch must go
-	// through nodeAt/relAt — they are atomic, because concurrent
-	// readers CAS-install materialized entities.
+	// lazy, when non-nil, is the columnar load this epoch descends
+	// from: the slots of the entity tables' cold pages start nil and
+	// materialize on first access (see colfile_decode.go). Every slot
+	// access goes through nodeAt/relAt, which read cold pages
+	// atomically, because concurrent readers CAS-install materialized
+	// entities.
 	lazy *colLazy
 }
 
 // indexPair names one property index.
 type indexPair struct{ label, prop string }
 
+// emptyEpoch is the predecessor of a fresh graph's first publish.
+func emptyEpoch() *readState {
+	return &readState{
+		nodes: newTable[*Node](1), rels: newTable[*Relationship](1), adj: newTable[nodeAdj](1),
+		nextNode: 1, nextRel: 1,
+		byLabel:      map[string][]int64{},
+		propIndex:    map[indexPair]map[string][]int64{},
+		relTypeCount: map[string]int{},
+	}
+}
+
 // nodeAt resolves the node-table slot at a valid index (caller bounds-
-// checks), materializing it on demand for cold columnar epochs.
+// checks), materializing it on demand in a cold page.
 func (rs *readState) nodeAt(id int64) *Node {
-	if rs.lazy != nil {
-		return rs.lazy.node(rs, id)
+	if rs.nodes.isCold(id) {
+		return rs.lazy.node(rs.nodes.at(id), id)
 	}
 	return *rs.nodes.at(id)
 }
 
 // relAt is the relationship counterpart of nodeAt.
 func (rs *readState) relAt(id int64) *Relationship {
-	if rs.lazy != nil {
-		return rs.lazy.rel(rs, id)
+	if rs.rels.isCold(id) {
+		return rs.lazy.rel(rs.rels.at(id), id)
 	}
 	return *rs.rels.at(id)
+}
+
+// node returns node id, or nil when absent.
+func (rs *readState) node(id int64) *Node {
+	if id < 0 || id >= rs.nodes.len() {
+		return nil
+	}
+	return rs.nodeAt(id)
+}
+
+// rel returns relationship id, or nil when absent.
+func (rs *readState) rel(id int64) *Relationship {
+	if id < 0 || id >= rs.rels.len() {
+		return nil
+	}
+	return rs.relAt(id)
+}
+
+// hasNode reports whether node id is present, materializing nothing.
+func (rs *readState) hasNode(id int64) bool {
+	if id < 0 || id >= rs.nodes.len() {
+		return false
+	}
+	if rs.nodes.isCold(id) {
+		return rs.lazy.nodePresent(id)
+	}
+	return *rs.nodes.at(id) != nil
+}
+
+// hasRel is the relationship counterpart of hasNode.
+func (rs *readState) hasRel(id int64) bool {
+	if id < 0 || id >= rs.rels.len() {
+		return false
+	}
+	if rs.rels.isCold(id) {
+		return rs.lazy.relRow[id] != 0
+	}
+	return *rs.rels.at(id) != nil
+}
+
+// adjOf returns node id's adjacency, or nil when out of range.
+func (rs *readState) adjOf(id int64) *nodeAdj {
+	if id < 0 || id >= rs.adj.len() {
+		return nil
+	}
+	return rs.adj.at(id)
 }
 
 // View is a pinned epoch: a consistent, immutable snapshot of the
@@ -180,12 +328,12 @@ type View struct {
 
 // View pins the current epoch. The fast path — no write since the
 // last publication — is two atomic loads. After a write, the first
-// View call builds and publishes the next epoch under the graph mutex
-// (see the package comment for the cost model); subsequent calls are
-// lock-free again until the next write.
+// View call freezes the open edit and publishes it under the graph
+// mutex (see the package comment for the cost model); subsequent calls
+// are lock-free again until the next write.
 func (g *Graph) View() *View {
 	g.viewPins.Add(1)
-	if rs := g.published.Load(); rs != nil && rs.version == g.version.Load() {
+	if rs := g.published.Load(); rs.version == g.version.Load() {
 		return &View{rs: rs}
 	}
 	g.mu.Lock()
@@ -196,9 +344,9 @@ func (g *Graph) View() *View {
 
 // SnapshotStats reports the cumulative snapshot counters of this
 // graph: how many Views were pinned, how many epochs were actually
-// built and published, and the wall time those builds took. A high pin/publish ratio means the read path is
-// running lock-free; publishes track write churn as observed by
-// readers.
+// published, and the wall time publishing took. A high pin/publish
+// ratio means the read path is running lock-free; publishes track write
+// churn as observed by readers.
 func (g *Graph) SnapshotStats() (viewPins, snapshotPublishes, publishNanos int64) {
 	return g.viewPins.Load(), g.snapshotPublishes.Load(), g.publishNanos.Load()
 }
@@ -207,20 +355,10 @@ func (g *Graph) SnapshotStats() (viewPins, snapshotPublishes, publishNanos int64
 func (v *View) Version() uint64 { return v.rs.version }
 
 // Node returns the node with the given ID, or nil when absent.
-func (v *View) Node(id int64) *Node {
-	if id < 0 || id >= v.rs.nodes.len() {
-		return nil
-	}
-	return v.rs.nodeAt(id)
-}
+func (v *View) Node(id int64) *Node { return v.rs.node(id) }
 
 // Relationship returns the relationship with the given ID, or nil.
-func (v *View) Relationship(id int64) *Relationship {
-	if id < 0 || id >= v.rs.rels.len() {
-		return nil
-	}
-	return v.rs.relAt(id)
-}
+func (v *View) Relationship(id int64) *Relationship { return v.rs.rel(id) }
 
 // NodeCount returns the number of nodes in the pinned epoch.
 func (v *View) NodeCount() int { return v.rs.nodeCount }
@@ -250,6 +388,39 @@ func (v *View) HasIndex(label, property string) bool {
 	return ok
 }
 
+// Indexes returns every (label, property) pair with an index, sorted
+// by label then property.
+func (v *View) Indexes() [][2]string {
+	var out [][2]string
+	for p := range v.rs.propIndex {
+		out = append(out, [2]string{p.label, p.prop})
+	}
+	slices.SortFunc(out, func(a, b [2]string) int {
+		return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1]))
+	})
+	return out
+}
+
+// ForEachNode calls fn for every node in ascending ID order until fn
+// returns false.
+func (v *View) ForEachNode(fn func(*Node) bool) {
+	for _, id := range v.rs.allNodes {
+		if !fn(v.rs.nodeAt(id)) {
+			return
+		}
+	}
+}
+
+// ForEachRelationship calls fn for every relationship in ascending ID
+// order until fn returns false.
+func (v *View) ForEachRelationship(fn func(*Relationship) bool) {
+	for id := int64(1); id < v.rs.rels.len(); id++ {
+		if r := v.rs.relAt(id); r != nil && !fn(r) {
+			return
+		}
+	}
+}
+
 // NodesByLabelProp returns the IDs of nodes with the given label whose
 // property equals value, in ascending ID order, from the epoch's
 // pre-sorted index buckets when an index exists (read-only slice) and
@@ -263,25 +434,19 @@ func (v *View) NodesByLabelProp(label, property string, value any) ([]int64, boo
 	if byVal, ok := rs.propIndex[indexPair{label, property}]; ok {
 		return byVal[ValueKey(nv)], true
 	}
+	return scanLabelProp(rs.byLabel[label], rs.nodeAt, property, nv), false
+}
+
+// scanLabelProp filters the nodes ids by property equality: the
+// fallback of a lookup no index serves.
+func scanLabelProp(ids []int64, node func(int64) *Node, property string, nv Value) []int64 {
 	var out []int64
-	for _, id := range rs.byLabel[label] {
-		n := rs.nodeAt(id)
-		if n == nil {
-			continue
-		}
-		if pv, ok := n.Props.Get(property); ok && ValuesEqual(pv, nv) {
+	for _, id := range ids {
+		if pv, ok := node(id).Props.Get(property); ok && ValuesEqual(pv, nv) {
 			out = append(out, id)
 		}
 	}
-	return out, false
-}
-
-// adjOf returns the node's adjacency, or nil when out of range.
-func (v *View) adjOf(nodeID int64) *nodeAdj {
-	if nodeID < 0 || nodeID >= v.rs.adj.len() {
-		return nil
-	}
-	return v.rs.adj.at(nodeID)
+	return out
 }
 
 // IncidentDo iterates the relationships incident to the node in the
@@ -293,19 +458,21 @@ func (v *View) adjOf(nodeID int64) *nodeAdj {
 // pay a small in-place merge. fn returning false stops the iteration;
 // the return value reports whether it ran to completion.
 func (v *View) IncidentDo(nodeID int64, dir Direction, types []string, fn func(*Relationship) bool) bool {
-	adj := v.adjOf(nodeID)
+	adj := v.rs.adjOf(nodeID)
 	if adj == nil {
 		return true
 	}
 	var listsArr [8][]int64
-	lists := listsArr[:0]
-	if dir == Outgoing || dir == Both {
-		lists = gatherLists(lists, &adj.out, types)
+	lists := adj.lists(listsArr[:0], dir, types)
+	if len(lists) == 1 {
+		for _, id := range lists[0] {
+			if !fn(v.rs.relAt(id)) {
+				return false
+			}
+		}
+		return true
 	}
-	if dir == Incoming || dir == Both {
-		lists = gatherLists(lists, &adj.in, types)
-	}
-	return mergeRelDo(v.rs, lists, fn)
+	return mergeIDs(lists, func(id int64) bool { return fn(v.rs.relAt(id)) })
 }
 
 // gatherLists appends the sorted rel-ID lists the (direction, types)
@@ -325,24 +492,11 @@ func gatherLists(lists [][]int64, d *dirAdj, types []string) [][]int64 {
 	return lists
 }
 
-// mergeRelDo iterates the union of sorted rel-ID lists in ascending
-// order, resolving each distinct ID through the epoch's relationship
-// table and visiting it once (a self-loop appears in both the out and
-// in lists; equal heads are consumed together). The single-list case —
-// any single-direction expansion — is a plain walk with no merge
-// state.
-func mergeRelDo(rs *readState, lists [][]int64, fn func(*Relationship) bool) bool {
-	switch len(lists) {
-	case 0:
-		return true
-	case 1:
-		for _, id := range lists[0] {
-			if !fn(rs.relAt(id)) {
-				return false
-			}
-		}
-		return true
-	}
+// mergeIDs visits the union of sorted rel-ID lists in ascending order,
+// each distinct ID once (a self-loop appears in both the out and in
+// lists; equal heads are consumed together). fn returning false stops
+// the walk; the result reports whether it ran to completion.
+func mergeIDs(lists [][]int64, fn func(int64) bool) bool {
 	var idxArr [8]int
 	var idx []int
 	if len(lists) <= len(idxArr) {
@@ -369,7 +523,7 @@ func mergeRelDo(rs *readState, lists [][]int64, fn func(*Relationship) bool) boo
 				idx[i]++ // consume duplicates of this ID in every list
 			}
 		}
-		if !fn(rs.relAt(bestID)) {
+		if !fn(bestID) {
 			return false
 		}
 	}
@@ -379,7 +533,7 @@ func mergeRelDo(rs *readState, lists [][]int64, fn func(*Relationship) bool) boo
 // ID order — the allocating convenience form of IncidentDo, for
 // callers that keep the result.
 func (v *View) Incident(nodeID int64, dir Direction, types ...string) []*Relationship {
-	adj := v.adjOf(nodeID)
+	adj := v.rs.adjOf(nodeID)
 	if adj == nil {
 		return nil
 	}
@@ -402,107 +556,64 @@ func (v *View) Incident(nodeID int64, dir Direction, types ...string) []*Relatio
 }
 
 // Degree returns the number of incident relationships in the given
-// direction, optionally filtered by type. Single-direction degrees are
-// O(#types) bucket-length sums; Both walks the merge to count
-// self-loops once.
+// direction, optionally filtered by type, resolving none of them.
 func (v *View) Degree(nodeID int64, dir Direction, types ...string) int {
-	adj := v.adjOf(nodeID)
+	adj := v.rs.adjOf(nodeID)
 	if adj == nil {
 		return 0
 	}
-	if dir == Both {
-		n := 0
-		v.IncidentDo(nodeID, Both, types, func(*Relationship) bool { n++; return true })
-		return n
-	}
-	d := &adj.out
-	if dir == Incoming {
-		d = &adj.in
-	}
-	if len(types) == 0 {
-		return len(d.all)
-	}
-	n := 0
-	for i, t := range types {
-		if slices.Contains(types[:i], t) {
-			continue // duplicate type in the filter counts once
-		}
-		n += len(d.bucket(t))
-	}
-	return n
+	return adj.degree(dir, types)
 }
 
 // ---------------------------------------------------------------------
-// Epoch construction (write side). Everything below runs with g.mu
-// held exclusively.
+// Publication. Everything below runs with g.mu held exclusively.
 // ---------------------------------------------------------------------
 
-// publishLocked returns the epoch for the current version, building
-// and publishing it when the published one is stale. The build is
-// O(dirty): untouched pages, postings and index buckets are shared
-// with the previous epoch. Caller holds g.mu.
-//
-// The predecessor is never a lazy epoch: every write first hydrates a
-// cold columnar graph, and hydration publishes the loaded epoch fully
-// materialized (hydrateLocked), so the first publish after a cold load
-// shares it like any other.
+// publishLocked returns the epoch for the current version, freezing the
+// open edit into it when the published one is stale. It costs
+// O(dirty): untouched pages, postings and index buckets are shared with
+// the previous epoch. Caller holds g.mu.
 func (g *Graph) publishLocked() *readState {
 	prev := g.published.Load()
 	v := g.version.Load()
-	if prev != nil && prev.version == v {
+	if prev.version == v {
 		return prev
 	}
 	start := time.Now()
-	nodeIDs, relIDs, adjIDs := maps.Keys(g.dirtyNodes), maps.Keys(g.dirtyRels), maps.Keys(g.dirtyAdj)
-	if prev == nil {
-		// The first publish builds against an empty epoch with every
-		// entity dirty; tracking starts after it, so bulk loads pay no
-		// bookkeeping.
-		prev = &readState{byLabel: map[string][]int64{}, propIndex: map[indexPair]map[string][]int64{}}
-		nodeIDs, relIDs, adjIDs = maps.Keys(g.nodes), maps.Keys(g.rels), maps.Keys(g.nodes)
-		g.relTypesDirty = true
-	}
-	rs := &readState{
-		version:   v,
-		nodeCount: len(g.nodes),
-		relCount:  len(g.rels),
-		nextNode:  g.nextNode,
-		nextRel:   g.nextRel,
-	}
+	rs := &readState{version: v, relCount: prev.relCount, nextNode: g.nextNode, nextRel: g.nextRel, lazy: prev.lazy}
 
-	// Relationship table first: adjacency buckets resolve types
-	// through it.
-	rels := prev.rels.edit(g.nextRel)
-	for id := range relIDs {
+	// The epoch's entities are copies of the writer's, which it keeps
+	// writing in place; a deleted entity's tombstone goes with the
+	// publish that empties its slot.
+	rels := prev.rels.edit(g.nextRel, prev.relAt)
+	eachChanged(g.dirtyRels, prev.nextRel, g.nextRel, func(id int64) {
 		var cp *Relationship
-		if r := g.rels[id]; r != nil {
+		if r := g.liveRels[id]; r != nil {
 			cp = copyRel(r)
+			rs.relCount++
+		} else {
+			delete(g.liveRels, id)
+		}
+		if prev.hasRel(id) {
+			rs.relCount--
 		}
 		rels.set(id, cp)
-	}
+	})
 	rs.rels = rels.table
 
-	// Node table, and the membership changes it implies: a node's
-	// presence and labels can differ from the previous epoch's only if
-	// the node is dirty.
-	nodes := prev.nodes.edit(g.nextNode)
-	var all idDelta
-	byLabel := map[string]*idDelta{}
-	for id := range nodeIDs {
-		var was, now *Node
-		if id < prev.nextNode {
-			was = prev.nodeAt(id)
+	nodes := prev.nodes.edit(g.nextNode, prev.nodeAt)
+	all, byLabel := g.nodeDeltasLocked(prev, func(id int64, now *Node) {
+		var cp *Node
+		if now != nil {
+			cp = copyNode(now)
+		} else {
+			delete(g.live, id)
 		}
-		if n := g.nodes[id]; n != nil {
-			now = copyNode(n)
-		}
-		nodes.set(id, now)
-		all.note(id, was != nil, now != nil)
-		noteLabels(byLabel, id, was, now)
-	}
+		nodes.set(id, cp)
+	})
 	rs.nodes = nodes.table
+	rs.nodeCount = prev.nodeCount + len(all.add) - len(all.del)
 	rs.allNodes = all.apply(prev.allNodes)
-
 	rs.byLabel, rs.labels = prev.byLabel, prev.labels
 	if len(byLabel) > 0 {
 		rs.byLabel = maps.Clone(prev.byLabel)
@@ -516,11 +627,11 @@ func (g *Graph) publishLocked() *readState {
 		rs.labels = slices.Sorted(maps.Keys(rs.byLabel))
 	}
 
-	adj := prev.adj.edit(g.nextNode)
-	for id := range adjIDs {
-		adj.set(id, g.buildAdjLocked(&rs.rels, id))
+	rs.adj = prev.adj
+	if g.adj != nil || prev.adj.len() < g.nextNode {
+		rs.adj = g.adjEditLocked().table
+		g.adj, g.ownAdj = nil, make(map[int64]struct{})
 	}
-	rs.adj = adj.table
 
 	rs.relTypeCount = maps.Clone(g.relTypeCount) // O(#types)
 	rs.relTypes = prev.relTypes
@@ -528,42 +639,68 @@ func (g *Graph) publishLocked() *readState {
 		rs.relTypes = relTypesLocked(g.relTypeCount)
 	}
 
-	// Index: a pair the previous epoch lacks (a new index) is built
-	// whole; otherwise only its touched buckets are re-sorted.
+	// Index: a pair the previous epoch lacks (a new index) comes whole;
+	// otherwise only its touched buckets change. The edit's buckets are
+	// handed over, sorted.
 	rs.propIndex = prev.propIndex
-	if len(g.dirtyIndex) > 0 {
+	if len(g.pendingIndex) > 0 {
 		rs.propIndex = maps.Clone(prev.propIndex)
-	}
-	for pair, keys := range g.dirtyIndex {
-		live := g.propIndex[pair.label][pair.prop]
-		byVal, ok := prev.propIndex[pair]
-		touched := maps.Keys(keys)
-		if ok {
-			byVal = maps.Clone(byVal)
-		} else {
-			byVal, touched = make(map[string][]int64, len(live)), maps.Keys(live)
-		}
-		for key := range touched {
-			if ids := live[key]; len(ids) > 0 {
-				sorted := slices.Clone(ids)
-				slices.Sort(sorted)
-				byVal[key] = sorted
+		for pair, touched := range g.pendingIndex {
+			byVal, ok := prev.propIndex[pair]
+			if ok {
+				byVal = maps.Clone(byVal)
 			} else {
-				delete(byVal, key)
+				byVal = make(map[string][]int64, len(touched))
 			}
+			for key, ids := range touched {
+				if len(ids) > 0 {
+					slices.Sort(ids)
+					byVal[key] = slices.Clip(ids)
+				} else {
+					delete(byVal, key)
+				}
+			}
+			rs.propIndex[pair] = byVal
 		}
-		rs.propIndex[pair] = byVal
+		g.pendingIndex = make(map[indexPair]map[string][]int64)
 	}
 
-	g.dirtyNodes = make(map[int64]struct{})
-	g.dirtyRels = make(map[int64]struct{})
-	g.dirtyAdj = make(map[int64]struct{})
-	g.dirtyIndex = make(map[indexPair]map[string]struct{})
+	// Fresh sets, not cleared ones: ranging over a map costs its
+	// capacity, and a bulk edit's would stay.
+	g.dirtyNodes, g.dirtyRels = make(map[int64]struct{}), make(map[int64]struct{})
 	g.relTypesDirty = false
 	g.published.Store(rs)
 	g.snapshotPublishes.Add(1)
 	g.publishNanos.Add(time.Since(start).Nanoseconds())
 	return rs
+}
+
+// eachChanged calls fn for every ID an edit may have changed: the dirty
+// ones below the published allocator, and every ID allocated since.
+func eachChanged(dirty map[int64]struct{}, from, to int64, fn func(id int64)) {
+	for id := range dirty {
+		fn(id)
+	}
+	for id := from; id < to; id++ {
+		fn(id)
+	}
+}
+
+// nodeDeltasLocked returns how the node list and the label postings of
+// the open edit differ from the published epoch prev, calling visit
+// (when non-nil) with every changed ID and its node as it now stands
+// (nil when absent). Caller holds g.mu.
+func (g *Graph) nodeDeltasLocked(prev *readState, visit func(id int64, now *Node)) (all idDelta, byLabel map[string]*idDelta) {
+	byLabel = map[string]*idDelta{}
+	eachChanged(g.dirtyNodes, prev.nextNode, g.nextNode, func(id int64) {
+		was, now := prev.node(id), g.live[id]
+		if visit != nil {
+			visit(id, now)
+		}
+		all.note(id, was != nil, now != nil)
+		noteLabels(byLabel, id, was, now)
+	})
+	return all, byLabel
 }
 
 // idDelta is the change to one ascending ID list between two epochs:
@@ -580,9 +717,9 @@ func (d *idDelta) note(id int64, was, now bool) {
 	}
 }
 
-// noteLabels records a dirty node's label changes between its previous
-// epoch copy and its new one (nil when absent). Labels repeated on one
-// node count once.
+// noteLabels records a changed node's label changes between its
+// published copy and its current one (nil when absent). Labels repeated
+// on one node count once.
 func noteLabels(byLabel map[string]*idDelta, id int64, was, now *Node) {
 	var wl, nl []string
 	if was != nil {
@@ -619,7 +756,7 @@ func noteLabels(byLabel map[string]*idDelta, id int64, was, now *Node) {
 // aliased from a snapshot have cap == len, so appending to them
 // copies.) Anything else merges into a fresh list in one pass.
 func (d *idDelta) apply(old []int64) []int64 {
-	if len(d.add) == 0 && len(d.del) == 0 {
+	if d == nil || len(d.add) == 0 && len(d.del) == 0 {
 		return old
 	}
 	slices.Sort(d.add)
@@ -643,55 +780,25 @@ func (d *idDelta) apply(old []int64) []int64 {
 	return append(out, add...)
 }
 
-// buildAdjLocked builds one node's type-bucketed adjacency against the
-// epoch's relationship table (empty for a deleted node). The mutable
-// adjacency lists are kept in ascending rel-ID order (IDs are assigned
-// monotonically and removal preserves order), so each bucket comes out
-// sorted with no sort pass. Caller holds g.mu.
-func (g *Graph) buildAdjLocked(rels *table[*Relationship], nodeID int64) nodeAdj {
-	return nodeAdj{
-		out: buildDirAdj(rels, g.out[nodeID]),
-		in:  buildDirAdj(rels, g.in[nodeID]),
+// current is apply for a reader of the open edit: always a fresh list,
+// never written into old's spare capacity.
+func (d *idDelta) current(old []int64) []int64 {
+	if d == nil || len(d.add) == 0 && len(d.del) == 0 {
+		return slices.Clone(old)
 	}
+	return d.apply(slices.Clip(old))
 }
 
-func buildDirAdj(rels *table[*Relationship], ids []int64) dirAdj {
-	if len(ids) == 0 {
-		return dirAdj{}
-	}
-	d := dirAdj{all: make([]int64, 0, len(ids))}
-	for _, id := range ids {
-		r := *rels.at(id)
-		if r == nil {
-			continue
-		}
-		d.all = append(d.all, id)
-		placed := false
-		for i := range d.byType {
-			if d.byType[i].typ == r.Type {
-				d.byType[i].ids = append(d.byType[i].ids, id)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			d.byType = append(d.byType, typeBucket{typ: r.Type, ids: []int64{id}})
-		}
-	}
-	return d
-}
-
-// copyNode and copyRel make the epoch's decoupled entity copies: live
-// entities stay mutable, and an epoch never aliases one. They are
-// shallow struct copies: the Labels and Props slices are shared with
-// the live entity, which is safe because every mutator replaces them
-// wholesale instead of mutating them in place (Props is immutable; see
-// setNodePropLocked and addNodeLabelLocked). Sharing keeps the epoch's
-// GC footprint to a few words per entity — deep-copying every property
-// set would double the live heap and tax every GC cycle of an
-// otherwise read-only process. Only dirty entities are copied; every
-// other epoch slot is shared with the previous epoch, including the
-// entities a cold columnar epoch materialized.
+// copyNode and copyRel copy an entity between the writer and an epoch:
+// the writer adopts a copy of an epoch's entity before it hands one
+// out or writes one, and a publish gives the epoch a copy of each dirty
+// one, so the two never share a struct. They are shallow copies: the
+// Labels and Props slices are shared, which is safe because every
+// mutator replaces them wholesale instead of mutating them in place
+// (Props is immutable; see setNodePropLocked and addNodeLabelLocked).
+// Only touched entities are copied; every other slot is shared with the
+// previous epoch, including the entities a cold columnar epoch
+// materialized.
 func copyNode(n *Node) *Node {
 	cp := *n
 	return &cp
@@ -700,39 +807,4 @@ func copyNode(n *Node) *Node {
 func copyRel(r *Relationship) *Relationship {
 	cp := *r
 	return &cp
-}
-
-// ---------------------------------------------------------------------
-// Dirty tracking. Mutators call these with g.mu held; before the
-// first publication nothing is tracked (the first epoch is always a
-// full build), so bulk loads pay no bookkeeping.
-// ---------------------------------------------------------------------
-
-func (g *Graph) tracking() bool { return g.published.Load() != nil }
-
-func (g *Graph) noteNodeLocked(id int64) {
-	if g.tracking() {
-		g.dirtyNodes[id] = struct{}{}
-	}
-}
-
-func (g *Graph) noteRelLocked(r *Relationship) {
-	if g.tracking() {
-		g.dirtyRels[r.ID] = struct{}{}
-		g.dirtyAdj[r.StartID] = struct{}{}
-		g.dirtyAdj[r.EndID] = struct{}{}
-	}
-}
-
-// noteIndexLocked records one touched index bucket.
-func (g *Graph) noteIndexLocked(pair indexPair, key string) {
-	if !g.tracking() {
-		return
-	}
-	keys := g.dirtyIndex[pair]
-	if keys == nil {
-		keys = make(map[string]struct{})
-		g.dirtyIndex[pair] = keys
-	}
-	keys[key] = struct{}{}
 }

@@ -74,7 +74,8 @@ type Store struct {
 	replayed int
 
 	// tier is the retrieval tier Open read, nil when tierErr says why
-	// not; tierRead is how long reading and validating it took.
+	// not; tierRead is how long reading and validating it took, on
+	// whichever goroutine.
 	tier     *retrieval.Tier
 	tierErr  error
 	tierRead time.Duration
@@ -144,6 +145,13 @@ func writeTier(dir string, v *graph.View, stamp retrieval.Stamp) error {
 // all subsequent writes. The returned Store owns the file mapping; it
 // stays mapped for the life of the process because the graph's first
 // epoch aliases it.
+//
+// The boot runs on two cores: the half of the tier read that needs no
+// graph (retrieval.Open: the mapping, the checksum, the header, the
+// document frequencies and the embedder fit) runs on its own goroutine
+// while the base decodes, itself beside its section checksums (see
+// graph.LoadColumnarBytes). The rest of the tier's checks need the
+// graph and run after both. Every return joins the goroutine.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
@@ -157,14 +165,33 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 	start := time.Now()
+	type opened struct {
+		f    *retrieval.File
+		err  error
+		took time.Duration
+	}
+	tierc := make(chan opened, 1)
+	go func() {
+		start := time.Now()
+		f, err := retrieval.Open(TierPath(dir))
+		tierc <- opened{f, err, time.Since(start)}
+	}()
+	// fail joins the tier read and drops what it mapped.
+	fail := func(err error) (*Store, error) {
+		if t := <-tierc; t.f != nil {
+			t.f.Close()
+		}
+		return nil, err
+	}
+
 	mapping, err := mmap.Open(BasePath(dir))
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	g, info, err := graph.LoadColumnarBytes(mapping.Data, graph.ColLoadOptions{VerifyChecksums: opts.VerifyChecksums})
 	if err != nil {
 		mapping.Close()
-		return nil, fmt.Errorf("persist: base snapshot: %w", err)
+		return fail(fmt.Errorf("persist: base snapshot: %w", err))
 	}
 	s := &Store{dir: dir, opts: opts, g: g, mapping: mapping, storeID: info.StoreID}
 
@@ -172,7 +199,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		// The graph aliases the mapping; drop both — nothing escaped.
 		mapping.Close()
-		return nil, err
+		return fail(err)
 	}
 	s.wal = wal
 
@@ -187,7 +214,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err := g.ApplyMutation(rec.mut); err != nil {
 			wal.Close()
 			mapping.Close()
-			return nil, fmt.Errorf("persist: replay seq %d: %w", rec.seq, err)
+			return fail(fmt.Errorf("persist: replay seq %d: %w", rec.seq, err))
 		}
 		s.replayed++
 	}
@@ -209,12 +236,19 @@ func Open(dir string, opts Options) (*Store, error) {
 
 	// The tier is derived data: whatever is wrong with it, Open goes on
 	// and the caller builds it.
-	if s.replayed > 0 {
+	t := <-tierc
+	switch {
+	case s.replayed > 0:
+		if t.f != nil {
+			t.f.Close()
+		}
 		s.tierErr = fmt.Errorf("%w: replayed %d WAL records", retrieval.ErrStale, s.replayed)
-	} else {
+	case t.err != nil:
+		s.tierErr, s.tierRead = t.err, t.took
+	default:
 		start := time.Now()
-		s.tier, s.tierErr = retrieval.Read(TierPath(dir), retrieval.Stamp{StoreID: info.StoreID, LastSeq: info.LastSeq}, g.View())
-		s.tierRead = time.Since(start)
+		s.tier, s.tierErr = t.f.Validate(retrieval.Stamp{StoreID: info.StoreID, LastSeq: info.LastSeq}, g.View())
+		s.tierRead = t.took + time.Since(start)
 	}
 	return s, nil
 }

@@ -202,8 +202,8 @@ func TestStoredTierEqualsBuilt(t *testing.T) {
 			sameSearches(t, fmt.Sprintf("GOMAXPROCS %d, ANN %v", procs, ann),
 				pipelineOn(t, g, loaded, ann), pipelineOn(t, g, nil, ann), queries)
 		}
-		if n, _ := g.HydrationStats(); n != 0 {
-			t.Fatalf("reading and validating the tier hydrated the graph %d times", n)
+		if _, publishes, _ := g.SnapshotStats(); publishes != 1 {
+			t.Fatalf("reading and validating the tier published %d epochs past the loaded one", publishes-1)
 		}
 		s.Close()
 	}

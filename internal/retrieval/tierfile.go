@@ -189,9 +189,10 @@ func (t *Tier) Write(w io.Writer, stamp Stamp) error {
 }
 
 // Read maps the tier file at path read-only and validates it for the
-// base snapshot stamped want, whose graph v is: the checksum over every
-// byte, the stamp and the embedder configuration, the document IDs
-// against iyp.DescribableNodes(v), and a strided sample of sampleDocs
+// base snapshot stamped want, whose graph v is: Open, then
+// File.Validate. The checks are the checksum over every byte, the
+// stamp and the embedder configuration, the document IDs against
+// iyp.DescribableNodes(v), and a strided sample of sampleDocs
 // documents, first and last included, re-described, re-embedded and
 // normalized bit for bit — which catches a Describe or embedding code
 // that changed since the file was written. The tier's strings, IDs,
@@ -204,6 +205,27 @@ func (t *Tier) Write(w io.Writer, stamp Stamp) error {
 // and ErrDrift. None of them is fatal to a caller: the tier is derived
 // data, and Build makes it again.
 func Read(path string, want Stamp, v *graph.View) (*Tier, error) {
+	f, err := Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return f.Validate(want, v)
+}
+
+// File is a tier file checked as far as it can be without the graph of
+// its base: what Open returns, for Validate to finish or Close to drop.
+type File struct {
+	m     *mmap.Mapping // nil for bytes parse was handed
+	stamp Stamp
+	tier  *Tier
+}
+
+// Open maps the tier file at path and checks everything Read checks
+// that does not need the base: the checksum over every byte, the
+// header, the embedder configuration, the sections and the document
+// frequencies, which it fits the embedder on. A boot runs it while the
+// base decodes. A file that fails is unmapped.
+func Open(path string) (*File, error) {
 	m, err := mmap.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNoTier
@@ -211,18 +233,79 @@ func Read(path string, want Stamp, v *graph.View) (*Tier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	t, err := parse(m.Data, want, v)
+	f, err := parseFile(m.Data)
 	if err != nil {
 		m.Close()
 		return nil, err
 	}
+	f.m = m
+	return f, nil
+}
+
+// Close unmaps a file that is not going to be validated.
+func (f *File) Close() {
+	if f.m != nil {
+		f.m.Close()
+	}
+}
+
+// Validate finishes Read's checks for the base snapshot stamped want,
+// whose graph v is — the stamp, the document IDs and the re-embedded
+// sample — and returns the tier; a file that fails is unmapped.
+func (f *File) Validate(want Stamp, v *graph.View) (*Tier, error) {
+	t, err := f.validate(want, v)
+	if err != nil {
+		f.Close()
+	}
+	return t, err
+}
+
+func (f *File) validate(want Stamp, v *graph.View) (*Tier, error) {
+	if f.stamp != want {
+		return nil, fmt.Errorf("%w: tier built from base (store %#x, seq %d), the base is (store %#x, seq %d)",
+			ErrStale, f.stamp.StoreID, f.stamp.LastSeq, want.StoreID, want.LastSeq)
+	}
+	t := f.tier
+	nodes := iyp.DescribableNodes(v)
+	if len(nodes) != len(t.Docs) {
+		return nil, fmt.Errorf("%w: the file holds %d docs, the base describes %d nodes", ErrDrift, len(t.Docs), len(nodes))
+	}
+	for i, d := range t.Docs {
+		if d.ID != nodes[i].NodeID {
+			return nil, fmt.Errorf("%w: doc %d is node %d, the base describes node %d", ErrDrift, i, d.ID, nodes[i].NodeID)
+		}
+	}
+	dim := t.Embedder.Dim()
+	for _, i := range sample(len(t.Docs)) {
+		d := iyp.DescribeNode(v, nodes[i])
+		if d.Text != t.Docs[i].Text || d.Label != t.Docs[i].Kind {
+			return nil, fmt.Errorf("%w: doc %d (node %d) is described differently", ErrDrift, i, d.NodeID)
+		}
+		row := t.Slab[i*dim : (i+1)*dim]
+		vec := t.Embedder.Embed(d.Text)
+		vector.Normalize(vec)
+		for j, x := range vec {
+			if math.Float32bits(x) != math.Float32bits(row[j]) {
+				return nil, fmt.Errorf("%w: doc %d (node %d) embeds differently", ErrDrift, i, d.NodeID)
+			}
+		}
+	}
 	return t, nil
 }
 
-// parse decodes and validates a tier file's bytes (see Read). Every
-// count is checked against the bytes it claims before anything is
-// allocated from it.
+// parse decodes and validates a tier file's bytes (see Read).
 func parse(data []byte, want Stamp, v *graph.View) (*Tier, error) {
+	f, err := parseFile(data)
+	if err != nil {
+		return nil, err
+	}
+	return f.validate(want, v)
+}
+
+// parseFile decodes a tier file's bytes and makes the checks of Open.
+// Every count is checked against the bytes it claims before anything
+// is allocated from it.
+func parseFile(data []byte) (*File, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 	}
@@ -246,10 +329,7 @@ func parse(data []byte, want Stamp, v *graph.View) (*Tier, error) {
 	if ver := ne.Uint32(data[8:]); ver != tierVersion {
 		return nil, fmt.Errorf("%w: format version %d, this build reads %d", ErrStale, ver, tierVersion)
 	}
-	if got := (Stamp{StoreID: ne.Uint64(data[32:]), LastSeq: ne.Uint64(data[40:])}); got != want {
-		return nil, fmt.Errorf("%w: tier built from base (store %#x, seq %d), the base is (store %#x, seq %d)",
-			ErrStale, got.StoreID, got.LastSeq, want.StoreID, want.LastSeq)
-	}
+	f := &File{stamp: Stamp{StoreID: ne.Uint64(data[32:]), LastSeq: ne.Uint64(data[40:])}}
 	emb := embed.NewDefault()
 	cfg := emb.Config()
 	if flags, dim := ne.Uint32(data[12:]), ne.Uint32(data[48:]); flags != configFlags(cfg) || uint64(dim) != uint64(cfg.Dim) {
@@ -315,15 +395,8 @@ func parse(data []byte, want Stamp, v *graph.View) (*Tier, error) {
 		kinds[k] = s
 	}
 	ids := aliasSlice[int64](idBytes)
-	nodes := iyp.DescribableNodes(v)
-	if uint64(len(nodes)) != nDocs {
-		return nil, fmt.Errorf("%w: the file holds %d docs, the base describes %d nodes", ErrDrift, nDocs, len(nodes))
-	}
 	docs := make([]vector.Doc, nDocs)
 	for i := range docs {
-		if ids[i] != nodes[i].NodeID {
-			return nil, fmt.Errorf("%w: doc %d is node %d, the base describes node %d", ErrDrift, i, ids[i], nodes[i].NodeID)
-		}
 		text, ok := str(int(nKinds) + i)
 		if !ok {
 			return nil, corrupt("text of doc %d outside the blob", i)
@@ -334,22 +407,8 @@ func parse(data []byte, want Stamp, v *graph.View) (*Tier, error) {
 		docs[i] = vector.Doc{ID: ids[i], Text: text, Kind: kinds[kindOf[i]]}
 	}
 	emb.FitDocFreqs(freqs, int(fitDocs))
-	t := &Tier{Embedder: emb, Docs: docs, Slab: aliasSlice[float32](slabBytes), DocFreqs: freqs}
-	for _, i := range sample(len(docs)) {
-		d := iyp.DescribeNode(v, nodes[i])
-		if d.Text != docs[i].Text || d.Label != docs[i].Kind {
-			return nil, fmt.Errorf("%w: doc %d (node %d) is described differently", ErrDrift, i, d.NodeID)
-		}
-		row := t.Slab[i*dim : (i+1)*dim]
-		vec := emb.Embed(d.Text)
-		vector.Normalize(vec)
-		for j, x := range vec {
-			if math.Float32bits(x) != math.Float32bits(row[j]) {
-				return nil, fmt.Errorf("%w: doc %d (node %d) embeds differently", ErrDrift, i, d.NodeID)
-			}
-		}
-	}
-	return t, nil
+	f.tier = &Tier{Embedder: emb, Docs: docs, Slab: aliasSlice[float32](slabBytes), DocFreqs: freqs}
+	return f, nil
 }
 
 // sample returns up to sampleDocs document indices spread evenly over

@@ -163,10 +163,12 @@ func TestTierFileReadRejects(t *testing.T) {
 }
 
 // TestTierFileReadAllocs: reading a tier and indexing it allocates well
-// under the file's size, as the slab, the IDs and the texts stay in the
-// mapping; a read into the heap allocates the whole file. What it does
-// allocate is the docs, the IDF table and the validation's listing of
-// the describable nodes, about a third of this fixture's file.
+// under the file's size, as the slab, the IDs, the texts and the
+// document frequencies stay in the mapping; a read into the heap
+// allocates the whole file. What it does allocate is the docs, the
+// embedder's bucket starts and the validation's listing of the
+// describable nodes: 13% of this fixture's file, where a map of the IDF
+// weights took it to 29%.
 func TestTierFileReadAllocs(t *testing.T) {
 	g := buildFixture()
 	stamp := retrieval.Stamp{StoreID: 1}
@@ -186,8 +188,8 @@ func TestTierFileReadAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(st.Size())/2 {
-		t.Fatalf("reading and indexing a %d-byte tier file allocated %d bytes, want under half of it", st.Size(), grew)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(st.Size())/6 {
+		t.Fatalf("reading and indexing a %d-byte tier file allocated %d bytes, want under a sixth of it", st.Size(), grew)
 	}
 }
 

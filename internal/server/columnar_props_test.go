@@ -13,9 +13,8 @@ import (
 
 // TestColumnarPropsWireContract pins the /v1/cypher bytes of nodes and
 // relationships with 0, 1 and 3 properties, read three ways: from a
-// cold columnar load, from that load after the first write hydrated
-// it, and from a store whose entities come back by WAL replay after a
-// kill. Property order, number formatting, HTML escaping and {} for an
+// cold columnar load, from that load after its first write, and from a
+// store whose entities come back by WAL replay after a kill. Property order, number formatting, HTML escaping and {} for an
 // entity without properties are all part of the wire contract.
 func TestColumnarPropsWireContract(t *testing.T) {
 	const create = `CREATE (a:P)-[:R]->(b:P {k: 1})-[:R {w: 0.5}]->` +
@@ -55,7 +54,7 @@ func TestColumnarPropsWireContract(t *testing.T) {
 		}
 	}
 
-	// Cold load of a base snapshot, then the same graph hydrated.
+	// Cold load of a base snapshot, then the same graph after a write.
 	built := graph.New()
 	if _, err := cypher.Execute(built, create, nil); err != nil {
 		t.Fatal(err)
@@ -71,14 +70,14 @@ func TestColumnarPropsWireContract(t *testing.T) {
 	defer st.Close()
 	h := serve(st.Graph())
 	check("cold load", h)
-	if n, _ := st.Graph().HydrationStats(); n != 0 {
-		t.Fatal("reading hydrated the cold graph")
+	if _, publishes, _ := st.Graph().SnapshotStats(); publishes != 1 {
+		t.Fatalf("reading published %d epochs past the loaded one", publishes-1)
 	}
-	query("hydrating write", h, "CREATE (:Other {k: 9})")
-	if n, _ := st.Graph().HydrationStats(); n != 1 {
-		t.Fatalf("hydrations after a write = %d, want 1", n)
+	query("first write", h, "CREATE (:Other {k: 9})")
+	check("after the first write", h)
+	if _, publishes, _ := st.Graph().SnapshotStats(); publishes != 2 {
+		t.Fatalf("%d publishes after the first write and a read, want 2", publishes)
 	}
-	check("after hydration", h)
 
 	// The same entities written through the server into the journal of
 	// an empty base, then recovered by replay without a Close.

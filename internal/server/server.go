@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"chatiyp/internal/agent"
@@ -151,9 +150,6 @@ type Server struct {
 	sched *scheduler
 	reg   *metrics.Registry
 	agent *agent.Service
-	// hydrationLogged is set once the graph's one hydration (see
-	// graph.HydrationStats) has been reported to the logger.
-	hydrationLogged atomic.Bool
 }
 
 // ErrNoPipeline rejects a Config without a pipeline.
@@ -220,7 +216,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), reg: cfg.Pipeline.Metrics()}
 	s.sched = newScheduler(cfg.MaxConcurrent, cfg.MaxQueue, s.reg)
-	s.logHydration("before serving (WAL replay)")
 	agentSvc, err := agent.NewService(agent.Config{
 		Pipeline: cfg.Pipeline,
 		RowCap:   cfg.CypherRowLimit,
@@ -412,23 +407,7 @@ func (s *Server) logged(next http.Handler) http.Handler {
 			s.cfg.Logger.Printf("%s %s %d %dB %s id=%s",
 				r.Method, r.URL.Path, sw.status, sw.bytes, elapsed, id)
 		}
-		s.logHydration("by the first write, request id=" + id)
 	})
-}
-
-// logHydration reports, once, that the graph loaded cold from a
-// columnar snapshot has materialized its mutable maps — the one-off
-// cost (time, and the live heap of every entity) a read-only instance
-// never pays. It is called after every request; until the hydration
-// has happened that is one atomic load.
-func (s *Server) logHydration(when string) {
-	if s.cfg.Logger == nil || s.hydrationLogged.Load() {
-		return
-	}
-	if n, ns := s.cfg.Pipeline.Graph().HydrationStats(); n > 0 && s.hydrationLogged.CompareAndSwap(false, true) {
-		s.cfg.Logger.Printf("graph hydrated in %s %s: reads stay on snapshots, the mutable graph is now resident",
-			time.Duration(ns).Round(time.Millisecond), when)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -630,7 +631,7 @@ func TestMetricsExposePersistCounters(t *testing.T) {
 	if err := json.Unmarshal(mrec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"persist.wal_appends", "persist.wal_bytes", "persist.checkpoints", "persist.replay_records", "graph.load_ns", "graph.hydrations", "graph.hydrate_ns"} {
+	for _, k := range []string{"persist.wal_appends", "persist.wal_bytes", "persist.checkpoints", "persist.replay_records", "graph.load_ns"} {
 		if _, ok := resp.Counters[k]; !ok {
 			t.Errorf("metrics response missing %q", k)
 		}
@@ -685,23 +686,17 @@ func TestSemCacheWarmAskOverHTTP(t *testing.T) {
 
 // TestStatsOnColdGraphStaysCold: GET /v1/stats on a graph loaded cold
 // from a columnar snapshot returns what the graph it was encoded from
-// returns, without hydrating it; the first write through /v1/cypher
-// does hydrate it, and the server says so once in its log.
+// returns, and still does after writes through /v1/cypher on both; and
+// the bytes the first write allocates do not grow with the world, from
+// the small one to one four times its size, as they would if the first
+// write built a second copy of it.
 func TestStatsOnColdGraphStaysCold(t *testing.T) {
-	built, _, err := iyp.Build(iyp.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
+	type served struct {
+		h    http.Handler
+		logs *bytes.Buffer
 	}
-	data, err := built.View().MarshalColumnar(graph.ColMeta{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, _, err := graph.LoadColumnarBytes(data, graph.ColLoadOptions{VerifyChecksums: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logs bytes.Buffer
-	serve := func(g *graph.Graph) http.Handler {
+	serve := func(g *graph.Graph) served {
+		var logs bytes.Buffer
 		simCfg := llm.DefaultSimConfig(core.BuildLexicon(g))
 		p, err := core.New(core.Config{Graph: g, Model: llm.NewSim(simCfg), Metrics: metrics.NewRegistry()})
 		if err != nil {
@@ -711,9 +706,8 @@ func TestStatsOnColdGraphStaysCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Handler()
+		return served{s.Handler(), &logs}
 	}
-	coldH, builtH := serve(cold), serve(built)
 	stats := func(h http.Handler) string {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
@@ -722,29 +716,58 @@ func TestStatsOnColdGraphStaysCold(t *testing.T) {
 		}
 		return rec.Body.String()
 	}
-	if got, want := stats(coldH), stats(builtH); got != want {
-		t.Fatalf("/v1/stats on the cold graph:\n%s\non the graph it was encoded from:\n%s", got, want)
-	}
-	var decoded graph.Stats
-	if err := json.Unmarshal([]byte(stats(coldH)), &decoded); err != nil || decoded.Nodes != built.NodeCount() || len(decoded.RelsByType) == 0 {
-		t.Fatalf("/v1/stats body does not decode to the graph's Stats: %+v, %v", decoded, err)
-	}
-	if n, _ := cold.HydrationStats(); n != 0 {
-		t.Fatal("GET /v1/stats hydrated the cold graph")
-	}
-	if strings.Contains(logs.String(), "graph hydrated") {
-		t.Fatalf("hydration logged before any write: %q", logs.String())
-	}
-
-	for i := 0; i < 2; i++ {
-		if rec := postJSON(t, coldH, "/v1/cypher", CypherRequest{Query: "CREATE (:StatsNote)"}); rec.Code != http.StatusOK {
+	write := func(h http.Handler) {
+		if rec := postJSON(t, h, "/v1/cypher", CypherRequest{Query: "CREATE (:StatsNote)"}); rec.Code != http.StatusOK {
 			t.Fatalf("write: %d %s", rec.Code, rec.Body.String())
 		}
 	}
-	if n, _ := cold.HydrationStats(); n != 1 {
-		t.Fatalf("hydrations after two writes = %d, want 1", n)
+	firstWrite := map[int]uint64{}
+	for _, scale := range []int{1, 4} {
+		cfg := iyp.SmallConfig()
+		cfg.NumASes *= scale
+		cfg.NumIXPs *= scale
+		cfg.NumFacilities *= scale
+		cfg.NumDomains *= scale
+		cfg.PrefixBudget *= scale
+		built, _, err := iyp.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := built.View().MarshalColumnar(graph.ColMeta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, _, err := graph.LoadColumnarBytes(data, graph.ColLoadOptions{VerifyChecksums: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldS, builtS := serve(cold), serve(built)
+		if got, want := stats(coldS.h), stats(builtS.h); got != want {
+			t.Fatalf("scale %d: /v1/stats on the cold graph:\n%s\non the graph it was encoded from:\n%s", scale, got, want)
+		}
+		var decoded graph.Stats
+		if err := json.Unmarshal([]byte(stats(coldS.h)), &decoded); err != nil || decoded.Nodes != built.NodeCount() || len(decoded.RelsByType) == 0 {
+			t.Fatalf("scale %d: /v1/stats body does not decode to the graph's Stats: %+v, %v", scale, decoded, err)
+		}
+
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		write(coldS.h)
+		runtime.ReadMemStats(&after)
+		firstWrite[scale] = after.TotalAlloc - before.TotalAlloc
+		write(coldS.h)
+		write(builtS.h)
+		write(builtS.h)
+		if got, want := stats(coldS.h), stats(builtS.h); got != want {
+			t.Fatalf("scale %d: after two writes, /v1/stats on the cold graph:\n%s\non the graph it was encoded from:\n%s", scale, got, want)
+		}
+		if strings.Contains(coldS.logs.String(), "hydrated") {
+			t.Fatalf("scale %d: the server logs a hydration: %q", scale, coldS.logs.String())
+		}
 	}
-	if n := strings.Count(logs.String(), "graph hydrated"); n != 1 {
-		t.Fatalf("the hydration is logged %d times, want once: %q", n, logs.String())
+	if small, big := firstWrite[1], firstWrite[4]; big > small+small/2 {
+		t.Fatalf("the first write allocates %d bytes on the small world and %d on one 4x its size; it must not grow with the world", small, big)
 	}
+	t.Logf("first write: %d bytes on the small world, %d on one 4x its size", firstWrite[1], firstWrite[4])
 }
